@@ -58,8 +58,8 @@ type Options struct {
 	// MaxVisits caps the depth-first engine's expansions (0 = 1<<40).
 	MaxVisits int
 	// MaxTableBytes caps EACH refinement engine's table footprint
-	// (solve.ExactOptions.MaxTableBytes / ExactDFSOptions.MaxTableBytes;
-	// 0 = unlimited). An engine tripping the budget aborts with
+	// (solve.Limits.MaxTableBytes in both engines' options; 0 =
+	// unlimited). An engine tripping the budget aborts with
 	// solve.ErrMemoryBudget, its certified bounds are harvested into the
 	// interval like any other early stop, and Result.MemoryLimited is
 	// set — the node-wide memory governor rests on this.
@@ -204,19 +204,13 @@ func refinementOptions(opts Options, incumbentScaled, lowerScaled int64) (solve.
 	if maxVisits == 0 {
 		maxVisits = unbounded
 	}
-	exact := solve.ExactOptions{
-		MaxStates:         maxStates,
-		MaxTableBytes:     opts.MaxTableBytes,
-		Parallel:          opts.Workers,
-		InitialLowerBound: lowerScaled,
-	}
-	dfs := solve.ExactDFSOptions{
-		MaxVisits:         maxVisits,
+	limits := solve.Limits{
 		MaxTableBytes:     opts.MaxTableBytes,
 		InitialLowerBound: lowerScaled,
+		ProgressEvery:     opts.SnapshotEvery,
 	}
-	exact.ProgressEvery = opts.SnapshotEvery
-	dfs.ProgressEvery = opts.SnapshotEvery
+	exact := solve.ExactOptions{Limits: limits, MaxStates: maxStates, Parallel: opts.Workers}
+	dfs := solve.ExactDFSOptions{Limits: limits, MaxVisits: maxVisits}
 	if incumbentScaled < math.MaxInt64 {
 		// Exclusive bounds: keep equal-cost completions so the engines
 		// can still PROVE the incumbent optimal, prune anything worse.
@@ -530,6 +524,16 @@ func Solve(ctx context.Context, p solve.Problem, opts Options) (Result, error) {
 		incumbent, floor := c.upper, c.lower
 		c.mu.Unlock()
 		exactOpts, dfsOpts := refinementOptions(opts, incumbent, floor)
+		// Both engines stream the same way: every snapshot raises the
+		// shared certificate, lands on the engine's span as a
+		// lower-bound event, and joins the ordered search stream.
+		progress := func(sp *obs.Span, engine string) func(solve.ExactProgress) {
+			return func(pr solve.ExactProgress) {
+				sp.Event("lower-bound", pr.LowerBound)
+				c.raiseLower(pr.LowerBound, engine)
+				relay.relay(sp, pr)
+			}
+		}
 
 		wg.Add(1)
 		go func() {
@@ -542,11 +546,7 @@ func Solve(ctx context.Context, p solve.Problem, opts Options) (Result, error) {
 			defer asp.End()
 			exactOpts.Cancel = rctx.Done()
 			exactOpts.Stats = &exactStats
-			exactOpts.Progress = func(pr solve.ExactProgress) {
-				asp.Event("lower-bound", pr.LowerBound)
-				c.raiseLower(pr.LowerBound, "astar")
-				relay.relay(asp, pr)
-			}
+			exactOpts.Progress = progress(asp, "astar")
 			sol, err := solve.Exact(p, exactOpts)
 			defer func() {
 				asp.SetAttr("expanded", strconv.Itoa(exactStats.Expanded))
@@ -584,13 +584,7 @@ func Solve(ctx context.Context, p solve.Problem, opts Options) (Result, error) {
 				dfsOpts.OnIncumbent = func(scaled int64, moves []pebble.Move) {
 					c.improveUpperMoves(moves, "ida*")
 				}
-				dfsOpts.Progress = func(st solve.ExactDFSStats) {
-					dsp.Event("lower-bound", st.LowerBound)
-					c.raiseLower(st.LowerBound, "ida*")
-				}
-				dfsOpts.Search = func(pr solve.ExactProgress) {
-					relay.relay(dsp, pr)
-				}
+				dfsOpts.Progress = progress(dsp, "ida*")
 				sol, err := solve.ExactDFS(p, dfsOpts)
 				defer func() {
 					dsp.SetAttr("visits", strconv.Itoa(dfsStats.Visits))

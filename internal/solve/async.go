@@ -11,13 +11,12 @@ import (
 	"rbpebble/internal/pebble"
 )
 
-// Asynchronous HDA*-style parallel exact solver. Like the
-// synchronous-rounds engine (parallel.go) the state space is sharded by
-// state hash — owner = hashKey(packed state) mod P, each worker owning
-// its shard's open list, visited table and node log — but there are no
-// global barriers: every worker loops { drain mailboxes, relax, expand,
-// flush } continuously, so nobody idles at a round boundary waiting for
-// the slowest shard.
+// Asynchronous HDA*-style parallel exact solver. The state space is
+// sharded by state hash — owner = hashKey(packed state) mod P, each
+// worker owning its shard's open list, visited table and node log — and
+// there are no global barriers: every worker loops { drain mailboxes,
+// relax, expand, flush } continuously, so nobody idles at a round
+// boundary waiting for the slowest shard.
 //
 // Proposals travel through per-edge mailboxes (one deposit box per
 // ordered worker pair, so P^2 boxes and no cross-pair contention):
@@ -51,7 +50,7 @@ import (
 // throttle; exactness never depends on it.
 //
 // Separately from the throttle, the engine maintains a CERTIFIED
-// mid-flight global f-min, streamed through ExactOptions.Progress: at
+// mid-flight global f-min, streamed through Limits.Progress: at
 // every instant, every open obligation — a heap entry, a proposal
 // pending in a mailbox, a proposal buffered in a sender's outbox, or an
 // expansion in progress — is covered by a published floor no larger
@@ -78,8 +77,8 @@ import (
 // "everyone passive" with the sent counter unchanged — any message
 // still in flight either keeps sent > received or bumps sent between
 // the two reads. At that point no state with f < incumbent exists
-// anywhere, so the incumbent is the proven optimum: the exact analogue
-// of the synchronous engine's "incumbent <= global f-min" rule.
+// anywhere, so the incumbent is the proven optimum: the standard
+// "incumbent <= global f-min" rule of parallel best-first search.
 
 const (
 	// asyncFlushBatch is the number of proposals buffered per
@@ -95,6 +94,32 @@ const (
 // with the worker id. Tests inject latency into chosen shards to
 // exercise termination detection under pathological imbalance.
 var asyncTestDelay func(worker int)
+
+// parNode mirrors searchNode for the sharded search; parents live in the
+// node log of another shard, so the reference is (shard, index).
+type parNode struct {
+	parentShard int32 // -1 for the root
+	parentNode  int32
+	ref         int32
+	move        pebble.Move
+}
+
+// proposal is one successor handed from an expanding worker to the
+// destination shard's owner. The packed key words travel in a parallel
+// flat buffer (kw words per proposal, same order). Only g travels: the
+// owning shard computes (and caches) the heuristic once per distinct
+// state, so senders never re-estimate shared states. pf is the f of the
+// generating expansion, used both as a pathmax floor on the child's
+// priority and as the certified in-flight watermark of pending mailbox
+// batches.
+type proposal struct {
+	hash       uint64
+	g          int64
+	pf         int64
+	srcShard   int32 // shard owning the parent node
+	parentNode int32
+	move       pebble.Move
+}
 
 // asyncBatch is one flushed group of proposals (kw key words per
 // proposal, in order). Batches change hands whole: the sender builds
@@ -143,24 +168,19 @@ type asyncMailbox struct {
 
 // asyncShared is the state shared by all workers and the coordinator.
 type asyncShared struct {
-	nw        int
-	kw        int
-	prune     int64          // ExactOptions.PruneBound (0 = off); immutable
-	memBudget int64          // ExactOptions.MaxTableBytes (0 = off); immutable
-	boxes     []asyncMailbox // boxes[src*nw+dst]
+	nw    int
+	kw    int
+	prune int64          // ExactOptions.PruneBound (0 = off); immutable
+	boxes []asyncMailbox // boxes[src*nw+dst]
 
-	sent     atomic.Int64 // proposals deposited
-	recv     atomic.Int64 // proposals consumed
-	expanded atomic.Int64 // states expanded (for the budget and stats)
-	done     atomic.Bool  // optimum proven
-	abort    atomic.Bool  // state budget exhausted
-	memAbort atomic.Bool  // table memory budget exhausted (abort is also set)
-	stop     atomic.Bool  // cancellation requested: drain to quiescence, expand nothing
-	passive  []atomic.Bool
-	// tableBytes mirrors each worker's table footprint for the
-	// coordinator's memory-budget check. Unlike the wstats mirror it is
-	// published whenever a budget is set, Progress listener or not.
-	tableBytes []atomic.Int64
+	sent       atomic.Int64 // proposals deposited
+	recv       atomic.Int64 // proposals consumed
+	expanded   atomic.Int64 // states expanded (for the budget and stats)
+	done       atomic.Bool  // optimum proven
+	abort      atomic.Bool  // state or table memory budget exhausted
+	stop       atomic.Bool  // cancellation requested: drain to quiescence, expand nothing
+	passive    []atomic.Bool
+	tableBytes []atomic.Int64 // per-worker table footprint (budget check, snapshots)
 	fmins      []atomic.Int64 // per-worker published heap minimum (the watermark)
 	gtops      []atomic.Int64 // g of the same top entry (for the plateau dive window)
 	floors     []atomic.Int64 // per-worker certified floor (heap min lowered to cover in-flight work)
@@ -187,7 +207,6 @@ type asyncWorkerStats struct {
 	pushed     atomic.Int64
 	openLen    atomic.Int64
 	tableCount atomic.Int64
-	tableBytes atomic.Int64
 	tableSlots atomic.Int64
 }
 
@@ -271,7 +290,6 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 		nw:         nw,
 		kw:         kw,
 		prune:      opts.PruneBound,
-		memBudget:  opts.MaxTableBytes,
 		boxes:      make([]asyncMailbox, nw*nw),
 		passive:    make([]atomic.Bool, nw),
 		fmins:      make([]atomic.Int64, nw),
@@ -313,7 +331,13 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 		workers[i] = w
 	}
 
-	var lowerBound int64
+	// The certified running-max lower bound (ctl.lower) is seeded from
+	// the caller's already-certified floor (warm start) and the root
+	// estimate. The coordinator raises it from the in-flight-aware
+	// certified merge and streams every improvement through Progress —
+	// the mid-flight bound the anytime orchestrator consumes under
+	// Workers > 1.
+	ctl := newSearchCtl(opts.Limits, "states")
 	report := func() {
 		if opts.Stats != nil {
 			var st ExactStats
@@ -323,7 +347,7 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 				st.Distinct += w.table.count()
 				st.TableBytes += w.table.bytes()
 			}
-			st.LowerBound = lowerBound
+			st.LowerBound = ctl.lower
 			*opts.Stats = st
 		}
 	}
@@ -342,6 +366,7 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 	rw.nodes = append(rw.nodes, parNode{parentShard: -1, parentNode: -1, ref: rootRef})
 	rw.open.push(heapEntry{f: h0, g: 0, node: 0})
 	rw.pushed = 1
+	ctl.raise(h0)
 	// Publish the root floor before any worker runs, so the certified
 	// merge never observes an all-empty frontier while the root entry is
 	// the only obligation.
@@ -357,62 +382,49 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 		}(w)
 	}
 
-	// Certified running-max lower bound, seeded from the root estimate
-	// and the caller's already-certified floor (warm start). The
-	// coordinator raises it from the in-flight-aware certified merge and
-	// streams every improvement through Progress — the mid-flight bound
-	// the anytime orchestrator consumes under Workers > 1.
-	certLower := max(h0, opts.InitialLowerBound)
-
-	// Coordinator: poll the state budget, watch for cancellation, raise
-	// and stream the certified bound, and run the termination probe. The
-	// poll interval escalates so that long solves are not taxed by
-	// coordinator wakeups (the workers keep the watermark cache fresh
-	// themselves); short solves still terminate within ~20us. A
-	// cancellation does not kill the workers outright: it flips the stop
-	// flag so they cease expanding but keep draining mailboxes, and the
-	// ordinary counting probe then detects the quiescent point — at
-	// which every generated proposal sits relaxed in some shard heap, so
-	// the heap tops are the full open frontier and their minimum is the
-	// final (tightest) certified lower bound on the optimum.
-	var sampler *progressSampler
-	if opts.Progress != nil {
-		sampler = newProgressSampler(opts.ProgressEvery)
-	}
+	// Coordinator: raise and stream the certified bound, check the
+	// budgets, watch for cancellation and run the termination probe. The
+	// certified merge is sampled before any abort check, so an early
+	// abort harvests what the workers have already certified, not just
+	// the root estimate. The poll interval escalates so that long solves
+	// are not taxed by coordinator wakeups (the workers keep the
+	// watermark cache fresh themselves); short solves still terminate
+	// within ~20us. A cancellation does not kill the workers outright: it
+	// flips the stop flag so they cease expanding but keep draining
+	// mailboxes, and the ordinary counting probe then detects the
+	// quiescent point — at which every generated proposal sits relaxed in
+	// some shard heap, so the heap tops are the full open frontier and
+	// their minimum is the final (tightest) certified lower bound on the
+	// optimum.
+	var stopErr error // ErrMemoryBudget or ErrCanceled from the gate
 	coSleep := 20 * time.Microsecond
 	for {
+		var tb int64
+		for i := range sh.tableBytes {
+			tb += sh.tableBytes[i].Load()
+		}
+		cm := sh.certifiedMin()
+		if cm == costUnreached {
+			cm = 0 // nothing open and no incumbent yet: no new certificate
+		}
+		snap, err := ctl.gate(cm, tb)
+		if err != nil {
+			stopErr = err
+			if errors.Is(err, ErrMemoryBudget) {
+				sh.abort.Store(true)
+				break
+			}
+			sh.stop.Store(true)
+		}
 		if sh.expanded.Load() > int64(maxStates) {
 			sh.abort.Store(true)
 			break
 		}
-		if sh.memBudget > 0 {
-			var tb int64
-			for i := range sh.tableBytes {
-				tb += sh.tableBytes[i].Load()
-			}
-			if tb > sh.memBudget {
-				sh.memAbort.Store(true)
-				sh.abort.Store(true)
-				break
-			}
-		}
-		if opts.Cancel != nil && !sh.stop.Load() {
-			select {
-			case <-opts.Cancel:
-				sh.stop.Store(true)
-			default:
-			}
-		}
-		improved := false
-		if v := sh.certifiedMin(); v != costUnreached && v > certLower {
-			certLower = v
-			improved = true
-		}
 		// Snapshot on every certified-bound improvement (the anytime
 		// layer wants those promptly) and on the time cadence between
 		// improvements, so a long plateau still streams live stats.
-		if sampler != nil && (improved || sampler.due()) {
-			opts.Progress(sh.snapshot(sampler, certLower))
+		if snap {
+			ctl.Progress(sh.snapshot(ctl.sampler, ctl.lower))
 		}
 		if sh.terminated() {
 			sh.done.Store(true)
@@ -429,11 +441,9 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 		// unrelaxed proposals — but the streamed running max was
 		// certified at instants when they were all accounted for, so it
 		// survives the abort.
-		lowerBound = certLower
 		report()
-		if sh.memAbort.Load() {
-			return Solution{}, fmt.Errorf("%w: over budget %d after %d states (lower bound %d)",
-				ErrMemoryBudget, sh.memBudget, sh.expanded.Load(), lowerBound)
+		if errors.Is(stopErr, ErrMemoryBudget) {
+			return Solution{}, ctl.stopped(stopErr, sh.expanded.Load())
 		}
 		return Solution{}, fmt.Errorf("%w: %d states", ErrStateLimit, maxStates)
 	}
@@ -458,9 +468,9 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 		// Canceled before the optimum was proven: harvest the certified
 		// frontier bound at quiescence, never below the streamed running
 		// max.
-		lowerBound = max(certLower, min(minTop, incG))
+		ctl.raise(min(minTop, incG))
 		report()
-		return Solution{}, fmt.Errorf("%w after %d states (lower bound %d)", ErrCanceled, sh.expanded.Load(), lowerBound)
+		return Solution{}, ctl.stopped(stopErr, sh.expanded.Load())
 	}
 	if incG == costUnreached {
 		if sh.prune > 0 {
@@ -470,14 +480,14 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 			// bound-exhaustion certificate — the optimum is at least
 			// PruneBound, so a warm-started refinement has just proven
 			// its cached incumbent optimal.
-			lowerBound = max(certLower, sh.prune)
+			ctl.raise(sh.prune)
 			report()
 			return Solution{}, fmt.Errorf("%w: no completion below bound %d", ErrBoundExhausted, sh.prune)
 		}
 		report()
 		return Solution{}, errors.New("solve: state space exhausted without completing (unreachable for feasible R)")
 	}
-	lowerBound = incG // proven optimal
+	ctl.lower = incG // proven optimal
 	report()
 
 	logs := make([][]parNode, nw)
@@ -572,16 +582,13 @@ func (w *asyncWorker) publish(sh *asyncShared) {
 		f, g = w.open.top()
 	}
 	w.publishFloor(sh, min(f, w.outMin))
-	if sh.memBudget > 0 {
-		sh.tableBytes[w.id].Store(w.table.bytes())
-	}
+	sh.tableBytes[w.id].Store(w.table.bytes())
 	if sh.wantStats {
 		ws := &sh.wstats[w.id]
 		ws.expanded.Store(int64(w.expanded))
 		ws.pushed.Store(int64(w.pushed))
 		ws.openLen.Store(int64(w.open.len()))
 		ws.tableCount.Store(int64(w.table.count()))
-		ws.tableBytes.Store(w.table.bytes())
 		ws.tableSlots.Store(int64(len(w.table.slots)))
 	}
 	if f == w.lastF && g == w.lastG {
@@ -712,8 +719,8 @@ func (w *asyncWorker) drain(sh *asyncShared) int {
 	return total
 }
 
-// relaxBatch merges one mailbox batch (same layout as the synchronous
-// engine's relax: kw key words per proposal, in order). The pushed
+// relaxBatch merges one mailbox batch (kw key words per proposal, in
+// order). The pushed
 // priority is the pathmax f = max(parent f, g + h): the parent's
 // admissible f never exceeds the cost of any completion through the
 // child, so raising the child to it keeps every certificate valid while
@@ -952,7 +959,7 @@ func (sh *asyncShared) snapshot(s *progressSampler, lower int64) ExactProgress {
 			HeapMinF:   normF(sh.fmins[i].Load()),
 			Floor:      normF(sh.floors[i].Load()),
 			TableCount: int(ws.tableCount.Load()),
-			TableBytes: ws.tableBytes.Load(),
+			TableBytes: sh.tableBytes[i].Load(),
 			Passive:    sh.passive[i].Load(),
 		}
 		for src := 0; src < sh.nw; src++ {
@@ -976,7 +983,7 @@ func (sh *asyncShared) snapshot(s *progressSampler, lower int64) ExactProgress {
 }
 
 // shardTrace reconstructs the incumbent's move chain across the
-// per-shard node logs (shared by the sync and async engines).
+// per-shard node logs.
 func shardTrace(p Problem, logs [][]parNode, shard, node int32) Solution {
 	var rev []pebble.Move
 	s, n := shard, node

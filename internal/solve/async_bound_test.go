@@ -112,7 +112,8 @@ func TestAsyncPruneBoundMatchesSerialEverywhere(t *testing.T) {
 				opt := serial.Result.Cost.Scaled(m)
 				for _, workers := range []int{2, 4} {
 					sol, err := Exact(p, ExactOptions{
-						Parallel: workers, PruneBound: opt + 1, InitialLowerBound: opt / 2,
+						Limits:   Limits{InitialLowerBound: opt / 2},
+						Parallel: workers, PruneBound: opt + 1,
 					})
 					if err != nil {
 						t.Fatalf("seed %d %v %s workers=%d: %v", seed, kind, convName(conv), workers, err)
@@ -142,7 +143,7 @@ func TestAsyncInitialLowerBoundSeedsCertificate(t *testing.T) {
 	canceled := make(chan struct{})
 	close(canceled)
 	var s ExactStats
-	_, err = Exact(p, ExactOptions{Parallel: 4, InitialLowerBound: opt, Cancel: canceled, Stats: &s})
+	_, err = Exact(p, ExactOptions{Limits: Limits{InitialLowerBound: opt, Cancel: canceled}, Parallel: 4, Stats: &s})
 	if err == nil {
 		// The cancellation raced the (tiny) solve to completion; the
 		// proven optimum is an even stronger certificate.
@@ -185,8 +186,8 @@ func TestAsyncStreamedBoundMonotone(t *testing.T) {
 				for _, workers := range []int{1, 2, 4, 8} {
 					var bounds []int64
 					sol, err := Exact(p, ExactOptions{
+						Limits:   Limits{Progress: func(pr ExactProgress) { bounds = append(bounds, pr.LowerBound) }},
 						Parallel: workers,
-						Progress: func(pr ExactProgress) { bounds = append(bounds, pr.LowerBound) },
 					})
 					if err != nil {
 						t.Fatalf("seed %d %v %s workers=%d: %v", seed, kind, convName(conv), workers, err)
@@ -232,8 +233,8 @@ func TestAsyncStreamsMidflightBound(t *testing.T) {
 
 	var bounds []int64
 	if _, err := Exact(p, ExactOptions{
+		Limits:   Limits{Progress: func(pr ExactProgress) { bounds = append(bounds, pr.LowerBound) }},
 		Parallel: 2,
-		Progress: func(pr ExactProgress) { bounds = append(bounds, pr.LowerBound) },
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -97,22 +97,32 @@ func TestAsyncStateLimit(t *testing.T) {
 	}
 }
 
-// TestAsyncEngineSelection checks both engines answer identically on a
-// nontrivial instance (the sync-rounds engine remains selectable as the
-// ablation baseline).
+// TestAsyncEngineSelection checks that Parallel > 1 selects the async
+// engine and that it answers like the serial loop on a nontrivial
+// instance.
 func TestAsyncEngineSelection(t *testing.T) {
 	p := Problem{G: daggen.Grid(3, 3), Model: pebble.NewModel(pebble.Oneshot), R: 3}
 	serial, err := Exact(p, ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []ParallelAlgo{ParallelAsyncHDA, ParallelSyncRounds} {
-		sol, err := Exact(p, ExactOptions{Parallel: 4, ParallelAlgo: algo})
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if sol.Result.Cost != serial.Result.Cost {
-			t.Fatalf("%v: cost %v != serial %v", algo, sol.Result.Cost, serial.Result.Cost)
+	var engines []string
+	sol, err := Exact(p, ExactOptions{
+		Limits: Limits{
+			Progress:      func(pr ExactProgress) { engines = append(engines, pr.Engine) },
+			ProgressEvery: time.Nanosecond,
+		},
+		Parallel: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Result.Cost != serial.Result.Cost {
+		t.Fatalf("async cost %v != serial %v", sol.Result.Cost, serial.Result.Cost)
+	}
+	for _, e := range engines {
+		if e != "async-hda" {
+			t.Fatalf("Parallel: 4 ran engine %q, want async-hda", e)
 		}
 	}
 }

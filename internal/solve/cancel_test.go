@@ -38,7 +38,7 @@ func TestExactCancelHarvestsLowerBound(t *testing.T) {
 	var stats ExactStats
 	done := make(chan error, 1)
 	go func() {
-		_, err := Exact(p, ExactOptions{Cancel: cancel, Stats: &stats})
+		_, err := Exact(p, ExactOptions{Limits: Limits{Cancel: cancel}, Stats: &stats})
 		done <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -76,7 +76,6 @@ func TestExactCancelEngines(t *testing.T) {
 	}{
 		{"serial", ExactOptions{}},
 		{"async", ExactOptions{Parallel: 2}},
-		{"sync-rounds", ExactOptions{Parallel: 2, ParallelAlgo: ParallelSyncRounds}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cancel := make(chan struct{})
@@ -113,14 +112,22 @@ func TestExactDFSCancelAndCallbacks(t *testing.T) {
 	var stats ExactDFSStats
 	var gotInc int64
 	var gotMoves []pebble.Move
-	passes := 0
+	// passes counts the IDA* snapshots whose Pass advances.
+	passes, lastPass := 0, 0
 	opts := ExactDFSOptions{
-		Cancel: cancel,
-		Stats:  &stats,
+		Limits: Limits{
+			Cancel: cancel,
+			Progress: func(pr ExactProgress) {
+				if pr.Pass > lastPass {
+					lastPass = pr.Pass
+					passes++
+				}
+			},
+		},
+		Stats: &stats,
 		OnIncumbent: func(scaled int64, moves []pebble.Move) {
 			gotInc, gotMoves = scaled, moves
 		},
-		Progress: func(st ExactDFSStats) { passes++ },
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -146,6 +153,9 @@ func TestExactDFSCancelAndCallbacks(t *testing.T) {
 	}
 	if stats.Incumbent < stats.LowerBound {
 		t.Fatalf("incumbent %d below lower bound %d", stats.Incumbent, stats.LowerBound)
+	}
+	if passes > stats.Iterations {
+		t.Fatalf("snapshots reported %d passes, stats only %d iterations", passes, stats.Iterations)
 	}
 	if gotMoves != nil {
 		tr := &pebble.Trace{Model: p.Model, R: p.R, Convention: p.Convention, Moves: gotMoves}

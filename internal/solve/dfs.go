@@ -3,46 +3,22 @@ package solve
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"rbpebble/internal/pebble"
 )
 
-// DFSAlgorithm selects the depth-first exact solver's search scheme.
-type DFSAlgorithm int
-
-const (
-	// DFSAuto (the zero value) behaves like DFSIDAStar.
-	DFSAuto DFSAlgorithm = iota
-	// DFSIDAStar is iterative-deepening A* on f = g+h: depth-first
-	// passes under a growing f-threshold, over the packed per-iteration
-	// memo. It shares the admissible lower bound with the best-first
-	// solver, and unlike plain branch and bound its pruning does not
-	// depend on stumbling onto a good incumbent early — fft(3) R=3,
-	// hopeless for branch and bound at any reasonable budget, finishes
-	// well inside the default one.
-	DFSIDAStar
-	// DFSBranchAndBound is the plain depth-first branch and bound
-	// (prune on cost + h >= incumbent), kept as the ablation baseline.
-	DFSBranchAndBound
-)
-
-// String names the DFS algorithm.
-func (a DFSAlgorithm) String() string {
-	switch a {
-	case DFSAuto:
-		return "auto"
-	case DFSIDAStar:
-		return "ida-star"
-	case DFSBranchAndBound:
-		return "branch-and-bound"
-	default:
-		return "DFSAlgorithm(?)"
-	}
-}
-
-// ExactDFSOptions configures the depth-first exact solver.
+// ExactDFSOptions configures the depth-first exact solver (IDA*).
 type ExactDFSOptions struct {
+	// Limits carries the controls shared with Exact: Cancel,
+	// MaxTableBytes (here the memo plus the transposition cache),
+	// InitialLowerBound (IDA* starts its threshold schedule at
+	// max(root heuristic, InitialLowerBound)), Progress (mid-pass
+	// snapshots on the ProgressEvery cadence plus one after every
+	// completed threshold pass, whose LowerBound ratchets up as passes
+	// complete) and ProgressEvery. On cancel the incumbent found so far
+	// remains harvestable through OnIncumbent, which always fires before
+	// the cancellation lands.
+	Limits
 	// MaxVisits caps the number of state expansions (0 = 16,000,000),
 	// cumulative across IDA* iterations. Note the semantics: expansions
 	// — states whose successors are generated — matching the best-first
@@ -50,68 +26,31 @@ type ExactDFSOptions struct {
 	// recursion entry including memo-pruned re-entries, roughly 8x
 	// more numerous; the default is recalibrated for the new meaning.)
 	MaxVisits int
-	// MaxTableBytes caps the memo and transposition tables' combined
-	// backing-store footprint (0 = unlimited). Growth past the budget
-	// aborts the search with ErrMemoryBudget, with Stats filled — the
-	// incumbent and certified LowerBound survive as a partial
-	// certificate. Checked at the periodic expansion gate, so the real
-	// peak can overshoot by one gate interval's growth.
-	MaxTableBytes int64
 	// InitialBound, if nonzero, seeds the search with a known achievable
 	// scaled cost (e.g. from TopoBelady). Otherwise the solver computes
 	// one itself.
 	InitialBound int64
-	// InitialLowerBound, if > 0, is a lower bound on the optimal scaled
-	// cost the CALLER has already certified (e.g. a cached interval from
-	// an earlier deadline-limited solve). IDA* starts its threshold
-	// schedule at max(root heuristic, InitialLowerBound) — skipping every
-	// pass a previous request already completed — and both algorithms
-	// seed their reported LowerBound with it. Soundness of the skipped
-	// passes rests entirely on the caller's certificate; an uncertified
-	// value can make the solver return a non-optimal trace as "optimal".
-	InitialLowerBound int64
-	// Algorithm selects the search scheme (DFSAuto = IDA*).
-	Algorithm DFSAlgorithm
 	// Stats, when non-nil, receives search counters after the solve —
-	// also on failure, so a visit-limited run still reports how far it
-	// got and what bounds it had proven.
+	// also on failure, so a visit-limited, canceled or budget-tripped run
+	// still reports how far it got and what bounds it had proven.
 	Stats *ExactDFSStats
-	// Cancel, when non-nil, makes the search stop cooperatively once
-	// the channel is closed: ExactDFS returns ErrCanceled with Stats
-	// filled. The incumbent found so far remains harvestable through
-	// OnIncumbent, which always fires before the cancellation lands.
-	Cancel <-chan struct{}
 	// OnIncumbent, when non-nil, is called (from the solver goroutine)
 	// each time the search improves its incumbent, with the achieved
 	// scaled cost and the move sequence. The slice is owned by the
 	// solver and must be treated as read-only.
 	OnIncumbent func(scaled int64, moves []pebble.Move)
-	// Progress, when non-nil, is called after every completed IDA*
-	// threshold pass with the current stats snapshot (whose LowerBound
-	// ratchets up as passes complete).
-	Progress func(ExactDFSStats)
-	// Search, when non-nil, receives uniform mid-pass search snapshots
-	// on a time-based cadence (ProgressEvery, default ~100ms): the
-	// current threshold, pass number, visit count and transposition-
-	// cache occupancy, in the same ExactProgress shape the best-first
-	// engines emit. Passes can run for seconds, so this is the only
-	// live view inside one. Runs on the solver goroutine; must be fast.
-	Search func(ExactProgress)
-	// ProgressEvery is the Search snapshot cadence (default ~100ms).
-	ProgressEvery time.Duration
 }
 
 // ExactDFSStats reports search effort and bound progress from one
-// ExactDFS run. It is filled on success and on ErrVisitLimit.
+// ExactDFS run. It is filled whenever the search ran: on success and on
+// ErrVisitLimit, ErrCanceled and ErrMemoryBudget.
 type ExactDFSStats struct {
 	// Visits is the number of state expansions (cumulative across IDA*
 	// iterations; see ExactDFSOptions.MaxVisits for the semantics).
 	Visits int
-	// Iterations is the number of IDA* threshold passes (1 for branch
-	// and bound).
+	// Iterations is the number of IDA* threshold passes.
 	Iterations int
-	// Threshold is the last IDA* f-threshold searched (0 for branch and
-	// bound).
+	// Threshold is the last IDA* f-threshold searched.
 	Threshold int64
 	// Incumbent is the best achievable scaled cost known when the
 	// search stopped (the optimum on success; an upper bound on
@@ -142,11 +81,13 @@ type ExactDFSStats struct {
 var ErrVisitLimit = errors.New("solve: DFS visit limit exceeded")
 
 // ExactDFS finds a provably minimum-cost pebbling by depth-first search
-// with per-state memoization: iterative-deepening A* on f = g+h by
-// default, plain branch and bound as the ablation baseline
-// (ExactDFSOptions.Algorithm). It is an independent second
-// implementation of the exact optimum (the first being the best-first
-// search in Exact) — the two cross-validate each other in the tests.
+// with per-state memoization: iterative-deepening A* on f = g+h, which
+// shares the admissible lower bound with the best-first solver. Its
+// pruning does not depend on stumbling onto a good incumbent early, so
+// fft(3) R=3 finishes well inside the default visit budget. It is an
+// independent second implementation of the exact optimum (the first
+// being the best-first search in Exact) — the two cross-validate each
+// other in the tests.
 //
 // The recursion shares the best-first solver's machinery: moves are
 // generated from the red frontier, each candidate is applied and undone
@@ -185,41 +126,22 @@ func ExactDFS(p Problem, opts ExactDFSOptions) (Solution, error) {
 	}
 
 	d := &dfsSearch{
-		p:            p,
-		c:            newSearchCtx(p, ExactOptions{}, start),
-		st:           start,
-		memo:         newStateTable(start.PackedWords(), payloadBestOnly, 1024),
-		hcache:       newStateTable(start.PackedWords(), payloadBestOnly, 1024),
-		maxVisits:    maxVisits,
-		maxTableB:    opts.MaxTableBytes,
-		bound:        bound,
-		bestMoves:    bestMoves,
-		maxDepth:     dfsMaxDepth(p),
-		initialLower: opts.InitialLowerBound,
-		cancel:       opts.Cancel,
-		onIncumbent:  opts.OnIncumbent,
-		onProgress:   opts.Progress,
-		onSearch:     opts.Search,
-		engine:       opts.Algorithm.String(),
+		p:           p,
+		c:           newSearchCtx(p, ExactOptions{}, start),
+		ctl:         newSearchCtl(opts.Limits, "visits"),
+		st:          start,
+		memo:        newStateTable(start.PackedWords(), payloadBestOnly, 1024),
+		hcache:      newStateTable(start.PackedWords(), payloadBestOnly, 1024),
+		maxVisits:   maxVisits,
+		bound:       bound,
+		bestMoves:   bestMoves,
+		maxDepth:    dfsMaxDepth(p),
+		onIncumbent: opts.OnIncumbent,
 	}
-	if opts.Algorithm == DFSAuto {
-		d.engine = DFSIDAStar.String()
+	err = d.idaStar()
+	if opts.Stats != nil {
+		*opts.Stats = d.stats()
 	}
-	if d.onSearch != nil {
-		d.sampler = newProgressSampler(opts.ProgressEvery)
-	}
-	report := func() {
-		if opts.Stats != nil {
-			*opts.Stats = d.stats()
-		}
-	}
-	switch opts.Algorithm {
-	case DFSBranchAndBound:
-		err = d.branchAndBound()
-	default:
-		err = d.idaStar()
-	}
-	report()
 	if err != nil {
 		return Solution{}, err
 	}
@@ -257,31 +179,24 @@ func dfsMaxDepth(p Problem) int {
 type dfsSearch struct {
 	p         Problem
 	c         *searchCtx
+	ctl       searchCtl     // cancel, budget, sampler; ctl.lower is the certified lower bound
 	st        *pebble.State // mutated in place by apply/undo
 	memo      *stateTable   // best entry cost per state, valid for one pass
 	hcache    *stateTable   // heuristic per state (best(ref) = h; dfsDeadH = dead), never reset
 	maxVisits int
-	maxTableB int64 // table memory budget (0 = unlimited)
 	maxDepth  int
 
 	bound     int64 // best achievable scaled cost known (incumbent, exclusive upper bound on improvements)
 	bestMoves []pebble.Move
 	moves     []pebble.Move // live move prefix of the recursion
 
-	threshold    int64 // current IDA* f-threshold
-	minExceed    int64 // smallest f seen above the threshold this pass
-	lower        int64 // certified lower bound (root estimate, raised per completed pass)
-	initialLower int64 // caller-certified floor (warm start); seeds threshold and lower
-	visits       int
-	iterations   int
-	limitErr     error
+	threshold  int64 // current IDA* f-threshold
+	minExceed  int64 // smallest f seen above the threshold this pass
+	visits     int
+	iterations int
+	limitErr   error
 
-	cancel      <-chan struct{}
 	onIncumbent func(scaled int64, moves []pebble.Move)
-	onProgress  func(ExactDFSStats)
-	onSearch    func(ExactProgress)
-	sampler     *progressSampler
-	engine      string
 }
 
 // stats snapshots the search counters and bounds.
@@ -291,28 +206,33 @@ func (d *dfsSearch) stats() ExactDFSStats {
 		Iterations:  d.iterations,
 		Threshold:   d.threshold,
 		Incumbent:   d.bound,
-		LowerBound:  d.lower,
-		TableBytes:  d.memo.bytes() + d.hcache.bytes(),
+		LowerBound:  d.ctl.lower,
+		TableBytes:  d.tableBytes(),
 		CacheStates: d.hcache.count(),
 		MemoStates:  d.memo.count(),
 	}
 }
 
-// searchProgress builds the uniform mid-pass snapshot: visits play the
-// expansion counter, the transposition cache plays the state table, and
-// the threshold schedule stands in for the frontier.
+// tableBytes is the memo and transposition cache's combined footprint.
+func (d *dfsSearch) tableBytes() int64 {
+	return d.memo.bytes() + d.hcache.bytes()
+}
+
+// searchProgress builds the uniform snapshot: visits play the expansion
+// counter, the transposition cache plays the state table, and the
+// threshold schedule stands in for the frontier.
 func (d *dfsSearch) searchProgress() ExactProgress {
-	elapsed, rate := d.sampler.tick(d.visits)
+	elapsed, rate := d.ctl.sampler.tick(d.visits)
 	return ExactProgress{
-		Engine:     d.engine,
+		Engine:     "ida-star",
 		Expanded:   d.visits,
-		LowerBound: d.lower,
+		LowerBound: d.ctl.lower,
 		Elapsed:    elapsed,
 		Rate:       rate,
 		Distinct:   d.hcache.count(),
 		FrontierF:  -1,
 		FrontierG:  -1,
-		TableBytes: d.memo.bytes() + d.hcache.bytes(),
+		TableBytes: d.tableBytes(),
 		TableLoad:  d.hcache.load(),
 		Threshold:  d.threshold,
 		Pass:       d.iterations,
@@ -336,28 +256,17 @@ func (d *dfsSearch) improved(cost int64) {
 func (d *dfsSearch) visitLimited() bool {
 	d.visits++
 	if d.visits&255 == 0 {
-		if d.cancel != nil {
-			select {
-			case <-d.cancel:
-				if d.limitErr == nil {
-					d.limitErr = fmt.Errorf("%w after %d visits (incumbent %d, lower bound %d)",
-						ErrCanceled, d.visits, d.bound, d.lower)
-				}
-				return true
-			default:
+		// IDA* certifies only at pass ends, so the gate has no fresher
+		// bound to raise than the one it holds.
+		snap, err := d.ctl.gate(d.ctl.lower, d.tableBytes())
+		if err != nil {
+			if d.limitErr == nil {
+				d.limitErr = d.ctl.stopped(err, int64(d.visits))
 			}
+			return true
 		}
-		if d.maxTableB > 0 {
-			if tb := d.memo.bytes() + d.hcache.bytes(); tb > d.maxTableB {
-				if d.limitErr == nil {
-					d.limitErr = fmt.Errorf("%w: %d table bytes over budget %d after %d visits (incumbent %d, lower bound %d)",
-						ErrMemoryBudget, tb, d.maxTableB, d.visits, d.bound, d.lower)
-				}
-				return true
-			}
-		}
-		if d.sampler != nil && d.sampler.due() {
-			d.onSearch(d.searchProgress())
+		if snap {
+			d.ctl.Progress(d.searchProgress())
 		}
 	}
 	if d.visits <= d.maxVisits {
@@ -413,8 +322,8 @@ func (d *dfsSearch) idaStar() error {
 	// and need not be re-run. A pass at threshold T still explores every
 	// prefix with f <= T, so an incumbent at or below T remains a sound
 	// optimality proof.
-	d.threshold = max(h0, d.initialLower)
-	d.lower = d.threshold
+	d.threshold = max(h0, d.ctl.InitialLowerBound)
+	d.ctl.raise(d.threshold)
 	// The threshold grows by a doubling gap (capped) rather than to the
 	// minimal exceeding f. Minimal steps are safe but hopeless on wide
 	// searches: the per-pass cost grows roughly geometrically in f, so
@@ -434,26 +343,27 @@ func (d *dfsSearch) idaStar() error {
 		if d.limitErr != nil {
 			return d.limitErr
 		}
-		if d.bound <= d.threshold {
-			d.lower = d.bound // incumbent proven optimal
+		// The incumbent is proven optimal once it sits at or below the
+		// threshold, or once every unexplored branch already costs at
+		// least the incumbent (covers minExceed == unreached, the
+		// exhausted case). Otherwise the completed pass proves no
+		// completion costs less than minExceed: every cheaper one would
+		// have a prefix with f <= threshold all the way to its goal, so
+		// the pass would have reached it.
+		done := d.bound <= d.threshold || d.minExceed >= d.bound
+		if done {
+			d.ctl.lower = d.bound
+		} else {
+			d.ctl.raise(d.minExceed)
+		}
+		// One snapshot per completed pass: the certified bound just
+		// moved, so the stream reports it without waiting for the
+		// cadence.
+		if d.ctl.Progress != nil {
+			d.ctl.Progress(d.searchProgress())
+		}
+		if done {
 			return nil
-		}
-		if d.minExceed >= d.bound {
-			// Every unexplored branch already costs at least the
-			// incumbent: it is optimal (covers minExceed == unreached,
-			// the exhausted case).
-			d.lower = d.bound
-			return nil
-		}
-		// The completed pass proves no completion costs less than
-		// minExceed: every cheaper one would have a prefix with
-		// f <= threshold all the way to its goal, so the pass would
-		// have reached it.
-		if d.minExceed > d.lower {
-			d.lower = d.minExceed
-		}
-		if d.onProgress != nil {
-			d.onProgress(d.stats())
 		}
 		next := d.threshold + gap*int64(d.c.scale)
 		if d.minExceed > next {
@@ -565,77 +475,4 @@ func orderMovesForDFS(c *searchCtx, moves []pebble.Move) {
 			w++
 		}
 	}
-}
-
-// branchAndBound is the PR 1 depth-first branch and bound: a single
-// pass pruned only against the incumbent (cost + h >= bound), with the
-// memo keyed on best entry cost.
-func (d *dfsSearch) branchAndBound() error {
-	d.iterations = 1
-	h0, dead := d.c.lb.estimate(d.st)
-	if dead {
-		return ErrInfeasible
-	}
-	d.lower = max(h0, d.initialLower)
-	d.recBnB()
-	if d.limitErr == nil {
-		d.lower = d.bound // exhausted: incumbent proven optimal
-	}
-	return d.limitErr
-}
-
-// recBnB is one branch-and-bound recursion step. Returns false on
-// budget exhaustion.
-func (d *dfsSearch) recBnB() bool {
-	if d.limitErr != nil {
-		return false
-	}
-	st, c := d.st, d.c
-	cost := st.Cost().Scaled(d.p.Model)
-	if cost >= d.bound {
-		return true
-	}
-	if st.Complete() {
-		d.improved(cost)
-		return true
-	}
-	if st.Steps() >= d.maxDepth {
-		return true
-	}
-	c.keyBuf = st.AppendPacked(c.keyBuf[:0])
-	hash := hashKey(c.keyBuf)
-	ref, _ := d.memo.lookupOrAdd(c.keyBuf, hash)
-	if d.memo.best(ref) <= cost {
-		return true
-	}
-	_, h := d.cachedH(hash)
-	if cost+h >= d.bound {
-		return true // no completion from here can beat the incumbent (or dead)
-	}
-	if d.visitLimited() {
-		return false
-	}
-	d.memo.setBest(ref, cost)
-
-	base := len(c.moveBuf)
-	c.appendMoves(st, c.keyBuf)
-	orderMovesForDFS(c, c.moveBuf[base:])
-	end := len(c.moveBuf)
-	ok := true
-	for i := base; i < end; i++ {
-		m := c.moveBuf[i]
-		undo, err := st.ApplyForUndo(m)
-		if err != nil {
-			panic("solve: appendMoves emitted illegal move: " + err.Error())
-		}
-		d.moves = append(d.moves, m)
-		ok = d.recBnB()
-		d.moves = d.moves[:len(d.moves)-1]
-		st.Undo(undo)
-		if !ok {
-			break
-		}
-	}
-	c.moveBuf = c.moveBuf[:base]
-	return ok
 }

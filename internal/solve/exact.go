@@ -15,10 +15,11 @@ import (
 // ExactOptions.MaxStates before proving an optimum.
 var ErrStateLimit = errors.New("solve: state limit exceeded")
 
-// ErrCanceled is returned by the exact solvers when their Cancel channel
-// fires before the optimum is proven. The Stats snapshot (including the
-// certified LowerBound harvested from the open frontier) is still
-// filled, so anytime callers can salvage the partial certificate.
+// ErrCanceled is returned by the exact solvers when their Limits.Cancel
+// channel fires before the optimum is proven. The Stats snapshot
+// (including the certified LowerBound harvested from the open frontier)
+// is still filled, so anytime callers can salvage the partial
+// certificate.
 var ErrCanceled = errors.New("solve: search canceled")
 
 // ErrBoundExhausted is returned by the serial and async exact engines
@@ -30,27 +31,21 @@ var ErrCanceled = errors.New("solve: search canceled")
 var ErrBoundExhausted = errors.New("solve: bound exhausted")
 
 // ErrMemoryBudget is returned by the exact engines when their
-// visited-state tables outgrow ExactOptions.MaxTableBytes (or the DFS
-// equivalent) before the optimum is proven. Like ErrCanceled, the Stats
-// snapshot is filled with the certified LowerBound harvested when the
-// budget tripped, so anytime callers degrade to a certified partial
-// interval instead of OOMing the process.
+// visited-state tables outgrow Limits.MaxTableBytes before the optimum
+// is proven. Like ErrCanceled, the Stats snapshot is filled with the
+// certified LowerBound harvested when the budget tripped, so anytime
+// callers degrade to a certified partial interval instead of OOMing the
+// process.
 var ErrMemoryBudget = errors.New("solve: table memory budget exceeded")
 
 // ExactOptions configures the exact solver.
 type ExactOptions struct {
+	// Limits carries the controls shared with ExactDFS: Cancel,
+	// MaxTableBytes, InitialLowerBound, Progress and ProgressEvery.
+	Limits
 	// MaxStates caps the number of expanded states (0 means the default
 	// of 2,000,000). The search fails with ErrStateLimit beyond it.
 	MaxStates int
-	// MaxTableBytes caps the visited-state tables' backing-store
-	// footprint (probe slots plus arena capacity, summed over parallel
-	// shards; 0 = unlimited). Growth past the budget aborts the search
-	// with ErrMemoryBudget, with Stats filled — including the certified
-	// LowerBound — so callers harvest a partial certificate instead of
-	// letting the search OOM the process. Enforcement is periodic (the
-	// engines check at their cancellation gates), so the real peak can
-	// overshoot the budget by one gate interval's growth.
-	MaxTableBytes int64
 	// DisablePruning turns off the safe dominance prunes (for the
 	// ablation benchmark; the result is identical, only slower).
 	DisablePruning bool
@@ -59,68 +54,28 @@ type ExactOptions struct {
 	// HeuristicOff reverts to plain Dijkstra. Either way the returned
 	// cost is the exact optimum.
 	Heuristic Heuristic
-	// InitialLowerBound, if > 0, is a lower bound on the optimal scaled
-	// cost that the CALLER has already certified (e.g. a cached interval
-	// from an earlier deadline-limited solve of the same instance). The
-	// serial and async engines seed their running frontier certificate
-	// with it, so a canceled search never reports a LowerBound below
-	// what was already proven, and IDA*-style callers can skip threshold
-	// passes below it. Passing an uncertified value breaks the
-	// LowerBound contract — the search itself stays correct, but the
-	// reported bound would lie.
-	InitialLowerBound int64
 	// PruneBound, if > 0, is an exclusive upper bound on interesting
-	// completions: the serial and async engines discard every generated
-	// state whose f = g + h reaches it. With an admissible heuristic any
-	// completion cheaper than PruneBound keeps all its prefix states
-	// strictly below the bound, so the optimum is still found whenever
-	// it is cheaper than PruneBound. Callers set it to incumbent+1
-	// (warm-started refinement from a cached trace) so equal-cost optima
-	// are still discovered and proven. In the async engine the bound is
-	// enforced at proposal enqueue, at relaxation and at expansion, and
-	// exhaustion under it yields the same ErrBoundExhausted certificate
-	// as the serial engine. The synchronous-rounds ablation engine
-	// ignores it (pruning is only a speedup; correctness never depends
-	// on it).
+	// completions: the engines discard every generated state whose
+	// f = g + h reaches it. With an admissible heuristic any completion
+	// cheaper than PruneBound keeps all its prefix states strictly below
+	// the bound, so the optimum is still found whenever it is cheaper
+	// than PruneBound. Callers set it to incumbent+1 (warm-started
+	// refinement from a cached trace) so equal-cost optima are still
+	// discovered and proven. In the async engine the bound is enforced at
+	// proposal enqueue, at relaxation and at expansion, and exhaustion
+	// under it yields the same ErrBoundExhausted certificate as the
+	// serial engine.
 	PruneBound int64
-	// Parallel, when > 1, expands states with that many workers, with
-	// the state space sharded by state hash (each worker owns its
-	// shard's open list and visited table). The proven optimal cost is
-	// identical to the sequential search; only the witness trace may
-	// differ. Values <= 1 run the sequential search.
+	// Parallel, when > 1, expands states with that many workers of the
+	// asynchronous HDA* engine, with the state space sharded by state
+	// hash (each worker owns its shard's open list and visited table).
+	// The proven optimal cost is identical to the sequential search; only
+	// the witness trace may differ. Values <= 1 run the sequential
+	// search.
 	Parallel int
-	// ParallelAlgo selects the parallel engine. The zero value is
-	// ParallelAsyncHDA (asynchronous HDA*-style search, the fastest);
-	// ParallelSyncRounds keeps the synchronous-rounds expander as an
-	// ablation reference. Ignored unless Parallel > 1.
-	ParallelAlgo ParallelAlgo
 	// Stats, when non-nil, receives search counters (states expanded,
 	// pushed, distinct) after the solve, successful or not.
 	Stats *ExactStats
-	// Cancel, when non-nil, makes the search stop cooperatively once the
-	// channel is closed: Exact returns ErrCanceled with Stats filled,
-	// including the certified frontier lower bound harvested at
-	// shutdown. The anytime orchestrator uses this to turn a deadline
-	// into a [lower, upper] certificate instead of a wasted solve.
-	Cancel <-chan struct{}
-	// Progress, when non-nil, receives periodic search snapshots on a
-	// time-based cadence (ProgressEvery) from every engine: the serial
-	// loop and the synchronous-rounds engine sample at their natural
-	// gate points, and the async HDA* engine's coordinator additionally
-	// fires whenever its certified global f-min improves, so the
-	// streamed lower bound stays prompt. The async bound is certified
-	// without any stop-and-drain: every worker publishes an
-	// in-flight-aware floor (its heap minimum, lowered to cover
-	// proposals it has generated but not yet deposited and batches it
-	// is draining) and every mailbox already tracks the minimum parent
-	// f of its pending batches, so the merged minimum never overlooks
-	// work in flight — see async.go. The callback runs on a solver
-	// goroutine and must be fast. With Progress nil the engines build
-	// no snapshots and pay only a nil check at the gate.
-	Progress func(ExactProgress)
-	// ProgressEvery is the snapshot cadence (default ~100ms). Ignored
-	// without a Progress listener.
-	ProgressEvery time.Duration
 }
 
 // ExactProgress is one periodic snapshot of a running exact search:
@@ -134,7 +89,7 @@ type ExactProgress struct {
 	// cost proven so far (see ExactStats.LowerBound).
 	LowerBound int64
 	// Engine names the engine that built the snapshot: "astar",
-	// "sync-rounds", "async-hda" or "ida-star"/"branch-and-bound".
+	// "async-hda" or "ida-star".
 	Engine string
 	// Elapsed is the wall time since the search started.
 	Elapsed time.Duration
@@ -158,7 +113,7 @@ type ExactProgress struct {
 	// load factor (summed/aggregated over shards).
 	TableBytes int64
 	TableLoad  float64
-	// Workers is the per-worker breakdown (parallel engines only).
+	// Workers is the per-worker breakdown (async engine only).
 	Workers []WorkerProgress
 	// SafraSent/SafraRecv are the async termination protocol's global
 	// proposal counters (async engine only).
@@ -234,39 +189,9 @@ func Exact(p Problem, opts ExactOptions) (Solution, error) {
 		return verify(p, tr), nil
 	}
 	if opts.Parallel > 1 {
-		if opts.ParallelAlgo == ParallelSyncRounds {
-			return exactParallel(p, opts, start, maxStates)
-		}
 		return exactAsync(p, opts, start, maxStates)
 	}
 	return exactSerial(p, opts, start, maxStates)
-}
-
-// ParallelAlgo enumerates the parallel expansion engines of Exact.
-type ParallelAlgo int
-
-const (
-	// ParallelAsyncHDA (the zero value) is the asynchronous HDA*-style
-	// engine: shard owners pull proposals from per-edge mailboxes and
-	// expand continuously, with counting-based distributed termination
-	// detection instead of global round barriers (see async.go).
-	ParallelAsyncHDA ParallelAlgo = iota
-	// ParallelSyncRounds is the synchronous-rounds engine (expand and
-	// relax phases separated by global barriers; see parallel.go). Kept
-	// as the ablation baseline for the async engine.
-	ParallelSyncRounds
-)
-
-// String names the parallel engine.
-func (a ParallelAlgo) String() string {
-	switch a {
-	case ParallelAsyncHDA:
-		return "async-hda"
-	case ParallelSyncRounds:
-		return "sync-rounds"
-	default:
-		return "ParallelAlgo(?)"
-	}
 }
 
 // searchCtx bundles the scratch structures of one sequential search (or
@@ -466,16 +391,13 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 	var nodes []searchNode
 
 	expanded, pushed := 0, 0
-	// Certified lower bound: running max of min open f, seeded from the
-	// caller's already-certified floor (warm start) when one is given.
-	lower := opts.InitialLowerBound
-	var sampler *progressSampler
-	if opts.Progress != nil {
-		sampler = newProgressSampler(opts.ProgressEvery)
-	}
+	// The certified lower bound (ctl.lower) is the running max of min
+	// open f, seeded from the caller's already-certified floor (warm
+	// start) when one is given.
+	ctl := newSearchCtl(opts.Limits, "states")
 	report := func() {
 		if opts.Stats != nil {
-			*opts.Stats = ExactStats{Expanded: expanded, Pushed: pushed, Distinct: table.count(), LowerBound: lower, TableBytes: table.bytes()}
+			*opts.Stats = ExactStats{Expanded: expanded, Pushed: pushed, Distinct: table.count(), LowerBound: ctl.lower, TableBytes: table.bytes()}
 		}
 	}
 
@@ -489,9 +411,7 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 		return Solution{}, ErrInfeasible
 	}
 	table.setH(rootRef, h0)
-	if h0 > lower {
-		lower = h0
-	}
+	ctl.raise(h0)
 	open.push(heapEntry{f: h0, g: 0, node: 0})
 	pushed = 1
 
@@ -501,8 +421,8 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 		// this instant; the optimum is at least that (every completion
 		// keeps an open entry with f <= its cost), and the running max
 		// of these instants is the certificate the anytime layer reads.
-		if e.f > lower {
-			lower = e.f
+		if e.f > ctl.lower {
+			ctl.lower = e.f
 		}
 		nd := nodes[e.node]
 		if e.g > table.best(nd.ref) {
@@ -511,7 +431,7 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 		key := table.key(nd.ref)
 		c.scratch.RestorePacked(key)
 		if c.scratch.Complete() {
-			lower = e.g // proven optimal
+			ctl.lower = e.g // proven optimal
 			report()
 			return reconstruct(p, nodes, e.node), nil
 		}
@@ -521,21 +441,13 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 			return Solution{}, fmt.Errorf("%w: %d states", ErrStateLimit, maxStates)
 		}
 		if expanded&1023 == 0 {
-			if opts.Cancel != nil {
-				select {
-				case <-opts.Cancel:
-					report()
-					return Solution{}, fmt.Errorf("%w after %d states (lower bound %d)", ErrCanceled, expanded, lower)
-				default:
-				}
-			}
-			if opts.MaxTableBytes > 0 && table.bytes() > opts.MaxTableBytes {
+			snap, err := ctl.gate(e.f, table.bytes())
+			if err != nil {
 				report()
-				return Solution{}, fmt.Errorf("%w: %d table bytes over budget %d after %d states (lower bound %d)",
-					ErrMemoryBudget, table.bytes(), opts.MaxTableBytes, expanded, lower)
+				return Solution{}, ctl.stopped(err, int64(expanded))
 			}
-			if sampler != nil && sampler.due() {
-				opts.Progress(singleProgress(sampler, expanded, pushed, lower, table, &open))
+			if snap {
+				ctl.Progress(singleProgress(ctl.sampler, expanded, pushed, ctl.lower, table, &open))
 			}
 		}
 
@@ -588,9 +500,7 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 		// costs less than PruneBound, so the optimum is at least
 		// PruneBound — a warm-started refinement has just proven the
 		// cached incumbent optimal.
-		if opts.PruneBound > lower {
-			lower = opts.PruneBound
-		}
+		ctl.raise(opts.PruneBound)
 		report()
 		return Solution{}, fmt.Errorf("%w: no completion below bound %d", ErrBoundExhausted, opts.PruneBound)
 	}

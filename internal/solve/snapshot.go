@@ -7,7 +7,7 @@ import "time"
 // expansion rate, open-queue size and per-f histogram, state-table
 // occupancy, frontier f/g, per-worker heap/mailbox/floor data, IDA*
 // threshold schedule — on a time-based cadence controlled by
-// ExactOptions.ProgressEvery. The machinery here is shared: the sampler
+// Limits.ProgressEvery. The machinery here is shared: the sampler
 // that turns wall-clock windows into rates, the queue/table accessors
 // the builders read, and the f-value normalization (the engines use
 // costUnreached internally; snapshots report -1 for "no frontier" so

@@ -76,9 +76,8 @@ func TestSnapshotsSerialAStar(t *testing.T) {
 	var c snapshotRun
 	var stats ExactStats
 	_, err := Exact(pyramid5R4(), ExactOptions{
-		Progress:      c.listener(t),
-		ProgressEvery: time.Nanosecond,
-		Stats:         &stats,
+		Limits: Limits{Progress: c.listener(t), ProgressEvery: time.Nanosecond},
+		Stats:  &stats,
 	})
 	c.done.Store(true)
 	if err != nil {
@@ -111,46 +110,13 @@ func TestSnapshotsSerialAStar(t *testing.T) {
 	}
 }
 
-func TestSnapshotsSyncRounds(t *testing.T) {
-	var c snapshotRun
-	var stats ExactStats
-	_, err := Exact(pyramid5R4(), ExactOptions{
-		Parallel:      2,
-		ParallelAlgo:  ParallelSyncRounds,
-		Progress:      c.listener(t),
-		ProgressEvery: time.Nanosecond,
-		Stats:         &stats,
-	})
-	c.done.Store(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps := c.checkStream(t, "sync-rounds", stats.Expanded, stats.TableBytes)
-	for i, sn := range snaps {
-		if len(sn.Workers) != 2 {
-			t.Fatalf("snapshot %d: %d workers, want 2", i, len(sn.Workers))
-		}
-		distinct, open, bytes := 0, 0, int64(0)
-		for _, wk := range sn.Workers {
-			distinct += wk.TableCount
-			open += wk.OpenSize
-			bytes += wk.TableBytes
-		}
-		if distinct != sn.Distinct || open != sn.OpenSize || bytes != sn.TableBytes {
-			t.Errorf("snapshot %d: worker sums (%d, %d, %d) != aggregates (%d, %d, %d)",
-				i, distinct, open, bytes, sn.Distinct, sn.OpenSize, sn.TableBytes)
-		}
-	}
-}
-
 func TestSnapshotsAsyncHDA(t *testing.T) {
 	var c snapshotRun
 	var stats ExactStats
 	_, err := Exact(pyramid5R4(), ExactOptions{
-		Parallel:      2,
-		Progress:      c.listener(t),
-		ProgressEvery: time.Nanosecond,
-		Stats:         &stats,
+		Limits:   Limits{Progress: c.listener(t), ProgressEvery: time.Nanosecond},
+		Parallel: 2,
+		Stats:    &stats,
 	})
 	c.done.Store(true)
 	if err != nil {
@@ -162,7 +128,11 @@ func TestSnapshotsAsyncHDA(t *testing.T) {
 		if len(sn.Workers) != 2 {
 			t.Fatalf("snapshot %d: %d workers, want 2", i, len(sn.Workers))
 		}
+		distinct, open, bytes := 0, 0, int64(0)
 		for _, wk := range sn.Workers {
+			distinct += wk.TableCount
+			open += wk.OpenSize
+			bytes += wk.TableBytes
 			if wk.MailboxDepth < 0 {
 				t.Errorf("snapshot %d: worker %d negative mailbox depth %d", i, wk.ID, wk.MailboxDepth)
 			}
@@ -173,6 +143,10 @@ func TestSnapshotsAsyncHDA(t *testing.T) {
 			if wk.TableBytes > 0 || wk.Expanded > 0 {
 				sawWorkerData = true
 			}
+		}
+		if distinct != sn.Distinct || open != sn.OpenSize || bytes != sn.TableBytes {
+			t.Errorf("snapshot %d: worker sums (%d, %d, %d) != aggregates (%d, %d, %d)",
+				i, distinct, open, bytes, sn.Distinct, sn.OpenSize, sn.TableBytes)
 		}
 		if sn.SafraSent < 0 || sn.SafraRecv < 0 {
 			t.Errorf("snapshot %d: negative safra counters (%d, %d)", i, sn.SafraSent, sn.SafraRecv)
@@ -186,11 +160,9 @@ func TestSnapshotsAsyncHDA(t *testing.T) {
 func TestSnapshotsIDAStar(t *testing.T) {
 	var c snapshotRun
 	var stats ExactDFSStats
-	_, err := ExactDFS(pyramid5R4(), ExactDFSOptions{
-		Algorithm:     DFSIDAStar,
-		Search:        c.listener(t),
-		ProgressEvery: time.Nanosecond,
-		Stats:         &stats,
+	sol, err := ExactDFS(pyramid5R4(), ExactDFSOptions{
+		Limits: Limits{Progress: c.listener(t), ProgressEvery: time.Nanosecond},
+		Stats:  &stats,
 	})
 	c.done.Store(true)
 	if err != nil {
@@ -198,12 +170,51 @@ func TestSnapshotsIDAStar(t *testing.T) {
 	}
 	snaps := c.checkStream(t, "ida-star", stats.Visits, int64(stats.TableBytes))
 	for i, sn := range snaps {
-		if sn.Threshold <= 0 {
-			t.Errorf("snapshot %d: non-positive IDA* threshold %d", i, sn.Threshold)
+		// The first pass runs at the root estimate, which is 0 here, so
+		// its completion snapshot reports threshold 0; later ones rise.
+		if sn.Threshold < 0 {
+			t.Errorf("snapshot %d: negative IDA* threshold %d", i, sn.Threshold)
 		}
 		if sn.Pass < 1 {
 			t.Errorf("snapshot %d: pass %d < 1", i, sn.Pass)
 		}
+		if i > 0 {
+			prev := snaps[i-1]
+			if sn.Threshold < prev.Threshold || sn.Pass < prev.Pass {
+				t.Errorf("snapshot %d: schedule (pass %d, threshold %d) went back from (%d, %d)",
+					i, sn.Pass, sn.Threshold, prev.Pass, prev.Threshold)
+			}
+			if sn.LowerBound < prev.LowerBound {
+				t.Errorf("snapshot %d: lower bound %d fell from %d", i, sn.LowerBound, prev.LowerBound)
+			}
+		}
+	}
+
+	// With the cadence out of reach, only the pass-completion snapshots
+	// remain: exactly one per completed pass, in pass order, with the
+	// certified bound never falling and the last one at the optimum.
+	var passes snapshotRun
+	var pstats ExactDFSStats
+	if _, err := ExactDFS(pyramid5R4(), ExactDFSOptions{
+		Limits: Limits{Progress: passes.listener(t), ProgressEvery: time.Hour},
+		Stats:  &pstats,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	passes.done.Store(true)
+	if len(passes.snaps) != pstats.Iterations {
+		t.Fatalf("%d pass snapshots for %d completed passes", len(passes.snaps), pstats.Iterations)
+	}
+	for i, sn := range passes.snaps {
+		if sn.Pass != i+1 {
+			t.Errorf("pass snapshot %d reports pass %d, want %d", i, sn.Pass, i+1)
+		}
+		if i > 0 && sn.LowerBound < passes.snaps[i-1].LowerBound {
+			t.Errorf("pass snapshot %d: lower bound %d fell from %d", i, sn.LowerBound, passes.snaps[i-1].LowerBound)
+		}
+	}
+	if want := sol.Result.Cost.Scaled(pyramid5R4().Model); passes.snaps[len(passes.snaps)-1].LowerBound != want {
+		t.Errorf("final pass snapshot lower bound %d, want the optimum %d", passes.snaps[len(passes.snaps)-1].LowerBound, want)
 	}
 }
 
@@ -212,7 +223,7 @@ func TestSnapshotsIDAStar(t *testing.T) {
 // before (this is also the configuration the benchmark guard measures).
 func TestSnapshotsNilListener(t *testing.T) {
 	var stats ExactStats
-	if _, err := Exact(pyramid5R4(), ExactOptions{Stats: &stats, ProgressEvery: time.Nanosecond}); err != nil {
+	if _, err := Exact(pyramid5R4(), ExactOptions{Limits: Limits{ProgressEvery: time.Nanosecond}, Stats: &stats}); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Expanded == 0 {

@@ -70,7 +70,7 @@ func TestExactInitialLowerBoundSeedsCertificate(t *testing.T) {
 	opt := ref.Result.Cost.Scaled(p.Model)
 
 	var s ExactStats
-	_, err = Exact(p, ExactOptions{MaxStates: 1, InitialLowerBound: opt, Stats: &s})
+	_, err = Exact(p, ExactOptions{Limits: Limits{InitialLowerBound: opt}, MaxStates: 1, Stats: &s})
 	if !errors.Is(err, ErrStateLimit) {
 		t.Fatalf("err = %v, want ErrStateLimit", err)
 	}
@@ -96,7 +96,7 @@ func TestExactDFSInitialLowerBoundSkipsPasses(t *testing.T) {
 	}
 
 	var warm ExactDFSStats
-	sol, err := ExactDFS(p, ExactDFSOptions{InitialLowerBound: opt, Stats: &warm})
+	sol, err := ExactDFS(p, ExactDFSOptions{Limits: Limits{InitialLowerBound: opt}, Stats: &warm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestExactDFSInitialLowerBoundPartialFloor(t *testing.T) {
 		t.Skip("optimum too small for a partial floor")
 	}
 	var warm ExactDFSStats
-	sol, err := ExactDFS(p, ExactDFSOptions{InitialLowerBound: opt - 1, Stats: &warm})
+	sol, err := ExactDFS(p, ExactDFSOptions{Limits: Limits{InitialLowerBound: opt - 1}, Stats: &warm})
 	if err != nil {
 		t.Fatal(err)
 	}

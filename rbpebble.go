@@ -167,24 +167,25 @@ type (
 	Problem = solve.Problem
 	// Solution is a solver output with its verified result.
 	Solution = solve.Solution
-	// ExactOptions configures the exact solver: state budget
-	// (MaxStates), A* lower-bound tier (Heuristic: S-partition by
-	// default), hash-sharded parallel expansion (Parallel workers,
-	// ParallelAlgo engine — async HDA* by default, synchronous rounds
-	// for ablation), search counters (Stats) and the dominance pruning
-	// ablation switch (DisablePruning).
+	// Limits is the search control both exact solvers share:
+	// cancellation, table memory budget, the caller's certified lower
+	// bound and the progress stream. ExactOptions and ExactDFSOptions
+	// embed it.
+	Limits = solve.Limits
+	// ExactOptions configures the exact solver: the shared Limits, state
+	// budget (MaxStates), A* lower-bound tier (Heuristic: S-partition by
+	// default), hash-sharded parallel expansion (Parallel workers of the
+	// async HDA* engine), search counters (Stats) and the dominance
+	// pruning ablation switch (DisablePruning).
 	ExactOptions = solve.ExactOptions
 	// ExactStats reports search-effort counters from one Exact run
 	// (states expanded, open-list pushes, distinct states reached).
 	ExactStats = solve.ExactStats
 	// Heuristic selects the exact solver's A* lower bound tier.
 	Heuristic = solve.Heuristic
-	// ParallelAlgo selects the parallel expansion engine of Exact.
-	ParallelAlgo = solve.ParallelAlgo
-	// DFSAlgorithm selects the depth-first exact solver's scheme.
-	DFSAlgorithm = solve.DFSAlgorithm
 	// ExactDFSStats reports search effort and bound progress from one
-	// ExactDFS run (also populated alongside ErrVisitLimit).
+	// ExactDFS run (also populated alongside ErrVisitLimit, ErrCanceled
+	// and ErrMemoryBudget).
 	ExactDFSStats = solve.ExactDFSStats
 	// PackedKey is the packed []uint64 encoding of a pebbling position
 	// (State.AppendPacked/RestorePacked), the representation the exact
@@ -192,7 +193,7 @@ type (
 	PackedKey = pebble.PackedKey
 	// OrderOptOptions configures the order-enumeration optimum.
 	OrderOptOptions = solve.OrderOptOptions
-	// ExactDFSOptions configures the branch-and-bound exact solver.
+	// ExactDFSOptions configures the depth-first (IDA*) exact solver.
 	ExactDFSOptions = solve.ExactDFSOptions
 	// RandomOrdersOptions configures the sampling heuristic.
 	RandomOrdersOptions = solve.RandomOrdersOptions
@@ -221,33 +222,13 @@ const (
 	HeuristicSPartition = solve.HeuristicSPartition
 )
 
-// Parallel expansion engines for ExactOptions.ParallelAlgo.
-// ParallelAsyncHDA (the zero value) is the asynchronous HDA*-style
-// engine — per-edge mailboxes, no round barriers, counting-based
-// distributed termination detection; ParallelSyncRounds keeps the
-// synchronous-rounds expander as the ablation baseline.
-const (
-	ParallelAsyncHDA   = solve.ParallelAsyncHDA
-	ParallelSyncRounds = solve.ParallelSyncRounds
-)
-
-// Depth-first solver schemes for ExactDFSOptions.Algorithm. DFSAuto
-// (the zero value) runs iterative-deepening A* on f = g+h;
-// DFSBranchAndBound keeps the plain branch and bound as the ablation
-// baseline.
-const (
-	DFSAuto           = solve.DFSAuto
-	DFSIDAStar        = solve.DFSIDAStar
-	DFSBranchAndBound = solve.DFSBranchAndBound
-)
-
 var (
 	// Exact finds a provably optimal pebbling by best-first state-space
 	// search: A* under an admissible model-aware lower bound (the
 	// S-partition tier by default; Dijkstra with HeuristicOff), over
 	// packed states in an open-addressing table, with optional
-	// hash-sharded parallel expansion (ExactOptions.Parallel workers,
-	// async HDA* engine unless ParallelSyncRounds is selected).
+	// hash-sharded parallel expansion (ExactOptions.Parallel workers of
+	// the async HDA* engine).
 	Exact = solve.Exact
 	// OrderOpt finds the oneshot optimum by order enumeration + Belady.
 	OrderOpt = solve.OrderOpt
@@ -262,8 +243,7 @@ var (
 	// MinVisitOrder solves the minimum-cost visit-order DP (Held-Karp).
 	MinVisitOrder = solve.MinVisitOrder
 	// ExactDFS is the depth-first exact solver (oneshot/nodel):
-	// iterative-deepening A* by default, branch and bound via
-	// ExactDFSOptions.Algorithm.
+	// iterative-deepening A* on f = g+h.
 	ExactDFS = solve.ExactDFS
 	// RandomOrders samples random topological orders with Belady eviction.
 	RandomOrders = solve.RandomOrders
@@ -288,7 +268,7 @@ type (
 	// interval of the same instance (AnytimeOptions.Warm).
 	AnytimeWarmStart = anytime.WarmStart
 	// ExactProgress is a periodic snapshot of a running exact search
-	// (ExactOptions.Progress).
+	// (Limits.Progress).
 	ExactProgress = solve.ExactProgress
 	// ServiceConfig tunes an embedded rbserve HTTP server.
 	ServiceConfig = service.Config
@@ -332,7 +312,7 @@ var (
 	// snapshot still carries the certified LowerBound it had proven.
 	ErrCanceled = solve.ErrCanceled
 	// ErrMemoryBudget: the visited table outgrew
-	// ExactOptions.MaxTableBytes; like ErrCanceled the stats snapshot
+	// Limits.MaxTableBytes; like ErrCanceled the stats snapshot
 	// keeps the certified partial interval proven up to the abort.
 	ErrMemoryBudget = solve.ErrMemoryBudget
 	// ErrInfeasible: the instance admits no complete pebbling.
