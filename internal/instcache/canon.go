@@ -15,13 +15,25 @@
 // two instances with equal keys are genuinely isomorphic (up to
 // SHA-256 collisions) — a budget exhaustion can only cost cache hits,
 // never poison the cache.
+//
+// The key sits on every request's path (twice behind a proxy), so the
+// kernel avoids per-round allocation: refinement signatures are int32
+// runs in one reused arena, ordered lexicographically with a proper
+// prefix first and the pred/succ separator above every color (the byte
+// order of the big-endian string signatures earlier releases hashed,
+// so keys are unchanged). The search skips branches through twins —
+// nodes with identical predecessor and successor sets: such a branch
+// is an automorphic image of one already explored, so within budget
+// pruning it leaves key and permutation unchanged.
 package instcache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"rbpebble/internal/dag"
 	"rbpebble/internal/pebble"
@@ -42,7 +54,12 @@ const canonMaxN = 512
 // while breaking refinement ties. Within budget the labeling is
 // isomorphism-invariant; beyond it the first cell member is taken,
 // which is deterministic for a given input but labeling-dependent.
+// Branches pruned as twins do not count against it.
 const canonBudget = 128
+
+// sigSep separates the predecessor and successor colors of a
+// refinement signature; it exceeds every color (colors are <= n).
+const sigSep = math.MaxInt32
 
 // Canonical computes a canonical form of g: a digest identifying the
 // graph up to isomorphism (within the size and search budgets; see the
@@ -53,168 +70,316 @@ func Canonical(g *dag.DAG) ([sha256.Size]byte, []dag.NodeID) {
 	if n == 0 {
 		return sha256.Sum256(nil), nil
 	}
-	perm := make([]dag.NodeID, n)
+	c := &canonizer{g: g, n: n}
+	var labels []int32
 	if n > canonMaxN {
-		for v := range perm {
-			perm[v] = dag.NodeID(v)
-		}
-		return sha256.Sum256(serialize(g, perm)), perm
+		labels = iota32(n)
+		c.best = c.serialize(labels, nil)
+	} else {
+		c.init()
+		c.budget = canonBudget
+		colors := make([]int32, n)
+		c.search(colors, c.refine(colors, 1, iota32(n)), 0)
+		labels = c.bestPerm
 	}
-	colors := refine(g, make([]int32, n))
-	budget := canonBudget
-	ser, cperm := canonSearch(g, colors, &budget)
-	return sha256.Sum256(ser), cperm
+	perm := make([]dag.NodeID, n)
+	for v, l := range labels {
+		perm[v] = dag.NodeID(l)
+	}
+	return sha256.Sum256(c.best), perm
 }
 
-// refine runs color refinement to a stable partition: each round
-// recolors every node by the signature (own color, sorted pred colors,
-// sorted succ colors), with new color IDs assigned by the lexicographic
-// order of the signatures so the result is independent of node
-// numbering. The class count grows strictly until stable, so at most n
-// rounds run (and Canonical caps n at canonMaxN).
-func refine(g *dag.DAG, colors []int32) []int32 {
-	n := g.N()
-	classes := countClasses(colors)
-	sig := make([]string, n)
-	var buf []byte
-	var nb []int32
-	for iter := 0; iter < n; iter++ {
-		for v := 0; v < n; v++ {
-			buf = binary.BigEndian.AppendUint32(buf[:0], uint32(colors[v]))
-			buf = appendSortedColors(buf, &nb, colors, g.Preds(dag.NodeID(v)))
-			buf = append(buf, 0xff)
-			buf = appendSortedColors(buf, &nb, colors, g.Succs(dag.NodeID(v)))
-			sig[v] = string(buf)
-		}
-		uniq := make([]string, 0, classes+1)
-		seen := make(map[string]int32, classes+1)
-		for _, s := range sig {
-			if _, ok := seen[s]; !ok {
-				seen[s] = 0
-				uniq = append(uniq, s)
-			}
-		}
-		sort.Strings(uniq)
-		for i, s := range uniq {
-			seen[s] = int32(i)
-		}
-		for v := 0; v < n; v++ {
-			colors[v] = seen[sig[v]]
-		}
-		if len(uniq) == classes || len(uniq) == n {
-			break // stable (or discrete)
-		}
-		classes = len(uniq)
-	}
-	return colors
+// canonizer is the scratch state of one Canonical call. It is never
+// shared: concurrent calls each build their own.
+type canonizer struct {
+	g *dag.DAG
+	n int
+
+	// adj lays out one signature template per node: adj[off[v]] = v,
+	// then v's sorted predecessors, -1 (the separator slot), then its
+	// sorted successors. sig is filled from it each refinement round.
+	off, adj, sig []int32
+	order         []int32   // node indices, sorted by color, then signature
+	twin          []int32   // twin class of each node
+	mark          []int32   // per twin class: the last cell scan that kept it
+	touched       []int32   // per color: the last refinement round to sort it
+	dirty         []int32   // refine scratch: members of classes that split
+	stamp         int32     // cell scan / refinement round counter
+	count         []int32   // per color counts for sortByColor and targetCell
+	levels        [][]int32 // per search depth: branch colors
+	cells         [][]int32 // per search depth: branch members
+
+	budget    int
+	best, ser []byte  // best serialization so far; leaf scratch
+	bestPerm  []int32 // labeling that produced best
+	inv, nb   []int32 // serialize scratch
 }
 
-func appendSortedColors(buf []byte, scratch *[]int32, colors []int32, nodes []dag.NodeID) []byte {
-	nb := (*scratch)[:0]
+// init builds the signature templates, the twin classes and the
+// per-call buffers.
+func (c *canonizer) init() {
+	n := c.n
+	c.off = make([]int32, n+1)
+	for v := 0; v < n; v++ {
+		c.off[v+1] = c.off[v] + int32(2+c.g.InDegree(dag.NodeID(v))+c.g.OutDegree(dag.NodeID(v)))
+	}
+	c.adj = make([]int32, 0, c.off[n])
+	for v := 0; v < n; v++ {
+		c.adj = append(c.adj, int32(v))
+		c.adj = appendSortedIDs(c.adj, c.g.Preds(dag.NodeID(v)))
+		c.adj = append(c.adj, -1)
+		c.adj = appendSortedIDs(c.adj, c.g.Succs(dag.NodeID(v)))
+	}
+	c.sig = make([]int32, len(c.adj))
+	c.order = make([]int32, n)
+	c.count = make([]int32, n+2)
+	c.touched = make([]int32, n+1)
+
+	// Twins share the neighborhood part of their template (everything
+	// after the node's own slot); rank the nodes by it.
+	nbhd := func(v int32) []int32 { return c.adj[c.off[v]+1 : c.off[v+1]] }
+	byNbhd := iota32(n)
+	slices.SortFunc(byNbhd, func(a, b int32) int { return slices.Compare(nbhd(a), nbhd(b)) })
+	c.twin = make([]int32, n)
+	c.mark = make([]int32, n)
+	class := int32(0)
+	for i, v := range byNbhd {
+		if i > 0 && !slices.Equal(nbhd(v), nbhd(byNbhd[i-1])) {
+			class++
+		}
+		c.twin[v] = class
+	}
+}
+
+// iota32 returns 0, 1, ..., n-1.
+func iota32(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}
+
+func appendSortedIDs(buf []int32, nodes []dag.NodeID) []int32 {
+	start := len(buf)
 	for _, u := range nodes {
-		nb = append(nb, colors[u])
+		buf = append(buf, int32(u))
 	}
-	sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
-	for _, c := range nb {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(c))
-	}
-	*scratch = nb
+	slices.Sort(buf[start:])
 	return buf
 }
 
-func countClasses(colors []int32) int {
-	seen := map[int32]struct{}{}
-	for _, c := range colors {
-		seen[c] = struct{}{}
+// refine runs color refinement to a stable partition, in place, given
+// the number of distinct colors on entry and the nodes whose color the
+// caller changed since the coloring was last stable (every node, if it
+// never was); it returns the number of colors on exit. Each round
+// recolors every node by its signature — own color, sorted pred
+// colors, sigSep, sorted succ colors, as an int32 run in the sig arena
+// — with new colors the dense ranks of the signatures in lexicographic
+// order (a proper prefix first), so the result is independent of node
+// numbering. Colors stay <= n < sigSep, so this order is the byte
+// order of the same signatures written as big-endian uint32 colors
+// with a 0xff separator byte — the encoding of earlier releases, whose
+// keys (and exported caches) therefore stay valid; TestCanonicalGolden
+// pins them. The class count grows strictly until stable, so at most n
+// rounds run (and Canonical caps n at canonMaxN).
+//
+// Only signatures that can tell nodes apart are built. Signatures
+// start with the node's own color, so order is kept sorted by color
+// and a node alone in its color ranks by that color. And the members
+// of a color class had equal signatures when it formed, so they can
+// only differ now if a neighbor's class split since: each round sorts
+// just the classes adjacent to the members of classes that split in
+// the round before.
+func (c *canonizer) refine(colors []int32, classes int, changed []int32) int {
+	n := c.n
+	sigOf := func(v int32) []int32 { return c.sig[c.off[v]:c.off[v+1]] }
+	c.sortByColor(colors)
+	dirty := append(c.dirty[:0], changed...)
+	for iter := 0; iter < n; iter++ {
+		c.stamp++
+		for _, d := range dirty {
+			for _, u := range c.adj[c.off[d]+1 : c.off[d+1]] {
+				if u >= 0 {
+					c.touched[colors[u]] = c.stamp
+				}
+			}
+		}
+		for i := 0; i < n; {
+			j := i + 1
+			for j < n && colors[c.order[j]] == colors[c.order[i]] {
+				j++
+			}
+			if j-i >= 2 && c.touched[colors[c.order[i]]] == c.stamp {
+				for _, v := range c.order[i:j] {
+					c.fillSig(v, colors)
+				}
+				slices.SortFunc(c.order[i:j], func(a, b int32) int { return slices.Compare(sigOf(a), sigOf(b)) })
+			}
+			i = j
+		}
+		dirty = dirty[:0]
+		rank, prev, start := int32(-1), int32(-1), 0
+		for i, v := range c.order {
+			col := colors[v]
+			if col != prev {
+				if i > 0 && rank != colors[c.order[start]] {
+					dirty = append(dirty, c.order[start:i]...) // split
+				}
+				rank++
+				prev, start = col, i
+			} else if c.touched[col] == c.stamp && !slices.Equal(sigOf(v), sigOf(c.order[i-1])) {
+				rank++
+			}
+			colors[v] = rank
+		}
+		if rank != colors[c.order[start]] {
+			dirty = append(dirty, c.order[start:]...)
+		}
+		stable := int(rank)+1 == classes
+		classes = int(rank) + 1
+		if stable || classes == n {
+			break
+		}
 	}
-	return len(seen)
+	c.dirty = dirty
+	return classes
 }
 
-// canonSearch resolves refinement ties by individualize-and-refine:
-// pick the smallest-color cell with >= 2 members, individualize each
-// member in turn (budget permitting), refine, recurse, and keep the
-// lexicographically smallest serialization. Trying every member of an
-// invariantly-chosen cell is what makes the result independent of the
-// input labeling.
-func canonSearch(g *dag.DAG, colors []int32, budget *int) ([]byte, []dag.NodeID) {
-	n := g.N()
-	cell := targetCell(colors)
-	if cell == nil {
-		perm := make([]dag.NodeID, n)
-		for v, c := range colors {
-			perm[v] = dag.NodeID(c)
-		}
-		return serialize(g, perm), perm
+// sortByColor counting-sorts order by colors (all <= n).
+func (c *canonizer) sortByColor(colors []int32) {
+	start := c.count[:c.n+2]
+	clear(start)
+	for _, col := range colors {
+		start[col+1]++
 	}
-	var bestSer []byte
-	var bestPerm []dag.NodeID
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	for v, col := range colors {
+		c.order[start[col]] = int32(v)
+		start[col]++
+	}
+}
+
+// fillSig writes v's signature under colors into the sig arena.
+func (c *canonizer) fillSig(v int32, colors []int32) {
+	lo, hi := c.off[v], c.off[v+1]
+	for i := lo; i < hi; i++ {
+		if u := c.adj[i]; u < 0 {
+			c.sig[i] = sigSep
+		} else {
+			c.sig[i] = colors[u]
+		}
+	}
+	sep := lo + 1 + int32(c.g.InDegree(dag.NodeID(v)))
+	slices.Sort(c.sig[lo+1 : sep])
+	slices.Sort(c.sig[sep+1 : hi])
+}
+
+// search resolves refinement ties by individualize-and-refine: pick
+// the smallest-color cell with >= 2 members, individualize each member
+// in turn (budget permitting), refine, recurse, and keep the
+// lexicographically smallest serialization over all leaves (the first
+// one found on ties). Trying every member of an invariantly-chosen cell
+// is what makes the result independent of the input labeling.
+//
+// Twins — nodes with identical predecessor and successor sets — always
+// share a signature, so refinement never separates them and they meet
+// in a target cell unless one was individualized. A member whose twin
+// is an earlier member of the same cell is skipped, at no budget cost
+// (the twins case of automorphism pruning; McKay & Piperno, "Practical
+// Graph Isomorphism II"). Swapping two twins is an automorphism of the
+// graph that fixes the current coloring, so it maps the skipped
+// branch's search tree onto the explored one's: a pruned branch is an
+// automorphic image with the same serializations, none strictly
+// smaller than what the explored twin already offered. Within budget
+// the key and permutation are therefore unchanged; the saved budget
+// goes to branches that can differ.
+//
+// Branch colors live in a per-depth buffer: a node's colors stay
+// intact while its children reuse the next depth's buffer in turn.
+func (c *canonizer) search(colors []int32, classes, depth int) {
+	for len(c.levels) <= depth+1 {
+		c.levels = append(c.levels, make([]int32, c.n))
+		c.cells = append(c.cells, nil)
+	}
+	cell := c.targetCell(colors, classes, c.cells[depth][:0])
+	c.cells[depth] = cell
+	if len(cell) == 0 {
+		c.leaf(colors)
+		return
+	}
+	branch := c.levels[depth+1]
 	for i, v := range cell {
-		if i > 0 && *budget <= 0 {
+		if i > 0 && c.budget <= 0 {
 			break // budget gone: keep only the first branch
 		}
-		*budget--
-		branch := make([]int32, n)
+		c.budget--
 		copy(branch, colors)
-		branch[v] = int32(n) // fresh marker color, re-densified by refine
-		ser, perm := canonSearch(g, refine(g, branch), budget)
-		if bestSer == nil || lessBytes(ser, bestSer) {
-			bestSer, bestPerm = ser, perm
-		}
+		branch[v] = int32(c.n) // fresh marker color, re-densified by refine
+		c.search(branch, c.refine(branch, classes+1, []int32{v}), depth+1)
 	}
-	return bestSer, bestPerm
 }
 
-// targetCell returns the members of the smallest color value that still
-// holds >= 2 nodes (nil when the coloring is discrete). Cells are
-// identified by color value, which is labeling-invariant.
-func targetCell(colors []int32) []dag.NodeID {
-	byColor := map[int32][]dag.NodeID{}
-	var best int32 = -1
-	for v, c := range colors {
-		byColor[c] = append(byColor[c], dag.NodeID(v))
-		if len(byColor[c]) >= 2 && (best == -1 || c < best) {
-			best = c
+// targetCell appends to buf the members, in node order and less twins
+// of earlier members, of the smallest color value that still holds
+// >= 2 nodes; none when the coloring is discrete. Cells are identified
+// by color value, which is labeling-invariant.
+func (c *canonizer) targetCell(colors []int32, classes int, buf []int32) []int32 {
+	if classes == c.n {
+		return buf
+	}
+	count := c.count[:classes]
+	clear(count)
+	for _, col := range colors {
+		count[col]++
+	}
+	target := int32(slices.IndexFunc(count, func(k int32) bool { return k >= 2 }))
+	c.stamp++
+	for v, col := range colors {
+		if col == target && c.mark[c.twin[v]] != c.stamp {
+			c.mark[c.twin[v]] = c.stamp
+			buf = append(buf, int32(v))
 		}
 	}
-	if best == -1 {
-		return nil
-	}
-	return byColor[best]
+	return buf
 }
 
-// serialize emits the adjacency structure under a discrete labeling:
-// node count, then for each canonical node its sorted canonical
-// predecessor list. The output determines the graph up to isomorphism.
-func serialize(g *dag.DAG, perm []dag.NodeID) []byte {
-	n := g.N()
-	inv := make([]dag.NodeID, n)
-	for v, c := range perm {
-		inv[c] = dag.NodeID(v)
+// leaf keeps a discrete coloring's serialization if it beats the best.
+func (c *canonizer) leaf(colors []int32) {
+	c.ser = c.serialize(colors, c.ser[:0])
+	if c.best == nil || bytes.Compare(c.ser, c.best) < 0 {
+		c.best, c.ser = c.ser, c.best
+		c.bestPerm = append(c.bestPerm[:0], colors...)
 	}
-	buf := binary.BigEndian.AppendUint32(nil, uint32(n))
-	var preds []int32
-	for c := 0; c < n; c++ {
-		v := inv[c]
-		preds = preds[:0]
-		for _, u := range g.Preds(v) {
-			preds = append(preds, int32(perm[u]))
+}
+
+// serialize appends to buf the adjacency structure under a discrete
+// labeling: node count, then for each canonical node its sorted
+// canonical predecessor list. The output determines the graph up to
+// isomorphism.
+func (c *canonizer) serialize(perm []int32, buf []byte) []byte {
+	if c.inv == nil {
+		c.inv = make([]int32, c.n)
+	}
+	for v, l := range perm {
+		c.inv[l] = int32(v)
+	}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(c.n))
+	for _, v := range c.inv {
+		preds := c.nb[:0]
+		for _, u := range c.g.Preds(dag.NodeID(v)) {
+			preds = append(preds, perm[u])
 		}
-		sort.Slice(preds, func(i, j int) bool { return preds[i] < preds[j] })
+		slices.Sort(preds)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(preds)))
 		for _, u := range preds {
 			buf = binary.BigEndian.AppendUint32(buf, uint32(u))
 		}
+		c.nb = preds
 	}
 	return buf
-}
-
-func lessBytes(a, b []byte) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // Instance is one cacheable pebbling problem.
