@@ -550,6 +550,9 @@ func Solve(ctx context.Context, p solve.Problem, opts Options) (Result, error) {
 			sol, err := solve.Exact(p, exactOpts)
 			defer func() {
 				asp.SetAttr("expanded", strconv.Itoa(exactStats.Expanded))
+				// The search ran over orbits of this group: a symmetric
+				// DAG's expansion count drops by up to this factor.
+				asp.SetAttr("aut_order", strconv.FormatFloat(exactStats.AutOrder, 'g', -1, 64))
 			}()
 			if err == nil {
 				asp.SetAttr("outcome", "optimal")
@@ -588,6 +591,7 @@ func Solve(ctx context.Context, p solve.Problem, opts Options) (Result, error) {
 				sol, err := solve.ExactDFS(p, dfsOpts)
 				defer func() {
 					dsp.SetAttr("visits", strconv.Itoa(dfsStats.Visits))
+					dsp.SetAttr("aut_order", strconv.FormatFloat(dfsStats.AutOrder, 'g', -1, 64))
 				}()
 				if err == nil {
 					dsp.SetAttr("outcome", "optimal")

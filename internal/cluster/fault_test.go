@@ -247,14 +247,14 @@ func TestFaultReplicationSurvivesHardKill(t *testing.T) {
 // instead of searching from scratch.
 func TestFaultDrainHandoffWarmStart(t *testing.T) {
 	ec := newElasticCluster(t, 2)
-	body := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":120}`, dagJSON(t, daggen.FFT(3)))
+	body := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":120}`, dagJSON(t, hardDAG()))
 
 	code, first, owner := ec.post(t, body)
 	if code != http.StatusOK {
 		t.Fatalf("seed solve: code=%d", code)
 	}
 	if first.Optimal {
-		t.Skip("host closed fft(3) R=3 in 120ms; handoff warm-start not observable")
+		t.Skip("host closed the hard instance in 120ms; handoff warm-start not observable")
 	}
 	victim, survivor := ec.node(t, owner)
 
@@ -290,7 +290,7 @@ func TestFaultDrainHandoffWarmStart(t *testing.T) {
 // again.
 func TestFaultKillMidAsyncSolveAndRejoin(t *testing.T) {
 	ec := newElasticCluster(t, 2)
-	g := dagJSON(t, daggen.FFT(3))
+	g := dagJSON(t, hardDAG())
 
 	// Seed a certified interval for the instance and let replication
 	// copy it to the survivor.
@@ -300,7 +300,7 @@ func TestFaultKillMidAsyncSolveAndRejoin(t *testing.T) {
 		t.Fatalf("seed solve: code=%d", code)
 	}
 	if first.Optimal {
-		t.Skip("host closed fft(3) R=3 in 120ms; warm-start not observable")
+		t.Skip("host closed the hard instance in 120ms; warm-start not observable")
 	}
 	victim, survivor := ec.node(t, owner)
 	ec.waitFor(t, 5*time.Second, func() bool {

@@ -50,6 +50,14 @@ func newTestCluster(t *testing.T, n int) *testCluster {
 	return tc
 }
 
+// hardDAG is the deadline tests' hard instance (oneshot, R=3): a seeded
+// random layered DAG with 24 nodes and no automorphisms, so the exact
+// engines get no symmetry reduction and need seconds to prove its
+// optimum of 19, leaving a wide certified interval at a 60-150ms
+// deadline. (fft(3) used to play this part; its 16,384 automorphisms
+// now let it close in well under a second.)
+func hardDAG() *dag.DAG { return daggen.RandomLayered(4, 6, 2, 12) }
+
 func dagJSON(t *testing.T, g *dag.DAG) string {
 	t.Helper()
 	b, err := json.Marshal(g)
@@ -140,14 +148,14 @@ func TestProxyRoutesByCanonicalKey(t *testing.T) {
 // warm-start, and certify an interval no wider than the first.
 func TestProxyWarmStartConvergence(t *testing.T) {
 	tc := newTestCluster(t, 2)
-	g := daggen.FFT(3)
+	g := hardDAG()
 	body := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":100}`, dagJSON(t, g))
 	code, first, node1 := tc.post(t, body)
 	if code != http.StatusOK {
 		t.Fatalf("first: code=%d", code)
 	}
 	if first.Optimal {
-		t.Skip("host closed fft(3) R=3 in 100ms; convergence not observable")
+		t.Skip("host closed the hard instance in 100ms; convergence not observable")
 	}
 	iso := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":100}`, dagJSON(t, relabeled(g)))
 	code, second, node2 := tc.post(t, iso)

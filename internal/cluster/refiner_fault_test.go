@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"rbpebble/internal/daggen"
 	"rbpebble/internal/instcache"
 	"rbpebble/internal/service"
 )
@@ -67,13 +66,13 @@ func TestFaultHardKillMidRefinement(t *testing.T) {
 	}, "both refiner nodes joined")
 
 	// Seed a deliberately wide certified interval on the ring owner.
-	body := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":120}`, dagJSON(t, daggen.FFT(3)))
+	body := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":120}`, dagJSON(t, hardDAG()))
 	code, first, owner := ec.post(t, body)
 	if code != http.StatusOK {
 		t.Fatalf("seed solve: code=%d", code)
 	}
 	if first.Optimal {
-		t.Skip("host closed fft(3) R=3 in 120ms; refinement not observable")
+		t.Skip("host closed the hard instance in 120ms; refinement not observable")
 	}
 	victim, survivor := ec.node(t, owner)
 

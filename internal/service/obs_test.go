@@ -110,11 +110,15 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatalf("lane-queue attrs = %v, want lane=heavy", byName["lane-queue"].Attrs)
 	}
 	// The engine spans must nest under the cache span (via the flight
-	// graft), so the tree shows where the solve time went.
+	// graft), so the tree shows where the solve time went, and each names
+	// the symmetry group its search ran over: pyramid(4)'s mirror.
 	cacheID := byName["cache"].ID
 	for _, sv := range tv.Spans {
 		if strings.HasPrefix(sv.Name, "engine:") && sv.Parent != cacheID {
 			t.Fatalf("engine span %q parent = %d, want cache span %d", sv.Name, sv.Parent, cacheID)
+		}
+		if strings.HasPrefix(sv.Name, "engine:") && sv.Attrs["aut_order"] != "2" {
+			t.Fatalf("engine span %q aut_order = %q, want 2", sv.Name, sv.Attrs["aut_order"])
 		}
 	}
 }

@@ -27,6 +27,16 @@ func dagJSON(t *testing.T, g *dag.DAG) json.RawMessage {
 	return b
 }
 
+// hardDAG is the deadline tests' hard instance (oneshot, R=3): a seeded
+// random layered DAG with 24 nodes and no automorphisms, so the exact
+// engines get no symmetry reduction and need seconds to prove its
+// optimum of 19, leaving a wide certified interval at a 60-150ms
+// deadline. Its root bound is positive (2), so a cancel that lands in
+// the first millisecond still harvests a non-zero certified lower
+// bound. (fft(3) used to play this part; its 16,384 automorphisms now
+// let it close in well under a second, and its root bound is 0.)
+func hardDAG() *dag.DAG { return daggen.RandomLayered(4, 6, 2, 12) }
+
 func postSolve(t *testing.T, ts *httptest.Server, body string) (int, SolveResponse, string) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(body))
@@ -231,13 +241,13 @@ func TestDeadlineReturnsCertifiedInterval(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":60}`, dagJSON(t, daggen.FFT(3)))
+	body := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":60}`, dagJSON(t, hardDAG()))
 	code, sr, raw := postSolve(t, ts, body)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, raw)
 	}
 	if sr.Optimal {
-		t.Skip("host solved fft(3) within 60ms; interval check not reachable")
+		t.Skip("host solved the hard instance within 60ms; interval check not reachable")
 	}
 	if sr.Lower <= 0 || sr.Lower > sr.Upper || sr.Gap <= 0 {
 		t.Fatalf("incoherent certified interval: %+v", sr)
@@ -265,7 +275,7 @@ func TestDeadlineReturnsCertifiedInterval(t *testing.T) {
 
 	// A strictly smaller budget tier is served the stored interval
 	// directly: a bigger budget already tried harder.
-	small := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":1}`, dagJSON(t, daggen.FFT(3)))
+	small := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":1}`, dagJSON(t, hardDAG()))
 	_, sr3, _ := postSolve(t, ts, small)
 	if !sr3.Cached {
 		t.Fatalf("lower-tier request not served from interval cache: %+v", sr3)
@@ -319,10 +329,10 @@ func TestCancelRunningJob(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// fft(3) R=3 with a long budget: the exact engines would need
+	// The hard instance with a long budget: the exact engines need
 	// seconds, so the DELETE provably lands mid-solve.
 	body := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":30000,"async":true}`,
-		dagJSON(t, daggen.FFT(3)))
+		dagJSON(t, hardDAG()))
 	resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -138,26 +138,37 @@ func TestSPartitionShrinksPyramidSearch(t *testing.T) {
 }
 
 // TestParallelMatchesSerial checks that hash-sharded parallel expansion
-// proves the same optimal cost as the sequential search.
+// proves the same optimal cost as the sequential search, on random
+// layered DAGs and on the symmetric DAGs whose shards hash orbit keys.
 func TestParallelMatchesSerial(t *testing.T) {
+	var inputs []Problem
 	for seed := int64(0); seed < 4; seed++ {
 		g := daggen.RandomLayered(3, 3, 2, seed)
 		r := pebble.MinFeasibleR(g)
 		for _, kind := range []pebble.ModelKind{pebble.Base, pebble.Oneshot, pebble.NoDel} {
-			p := Problem{G: g, Model: pebble.NewModel(kind), R: r}
-			serial, err := Exact(p, ExactOptions{})
-			if err != nil {
-				t.Fatalf("seed %d %v serial: %v", seed, kind, err)
+			inputs = append(inputs, Problem{G: g, Model: pebble.NewModel(kind), R: r})
+		}
+	}
+	for _, tc := range symmetricCases() {
+		for _, kind := range []pebble.ModelKind{pebble.Base, pebble.Oneshot, pebble.NoDel} {
+			if kind != pebble.Base || tc.g.N() <= 12 {
+				inputs = append(inputs, Problem{G: tc.g, Model: pebble.NewModel(kind), R: 3})
 			}
-			for _, workers := range []int{2, 4} {
-				par, err := Exact(p, ExactOptions{Parallel: workers})
-				if err != nil {
-					t.Fatalf("seed %d %v parallel(%d): %v", seed, kind, workers, err)
-				}
-				if par.Result.Cost.Scaled(p.Model) != serial.Result.Cost.Scaled(p.Model) {
-					t.Errorf("seed %d %v parallel(%d): cost %v != serial %v",
-						seed, kind, workers, par.Result.Cost, serial.Result.Cost)
-				}
+		}
+	}
+	for i, p := range inputs {
+		serial, err := Exact(p, ExactOptions{})
+		if err != nil {
+			t.Fatalf("input %d %v serial: %v", i, p.Model.Kind, err)
+		}
+		for _, workers := range []int{2, 4} {
+			par, err := Exact(p, ExactOptions{Parallel: workers})
+			if err != nil {
+				t.Fatalf("input %d %v parallel(%d): %v", i, p.Model.Kind, workers, err)
+			}
+			if par.Result.Cost.Scaled(p.Model) != serial.Result.Cost.Scaled(p.Model) {
+				t.Errorf("input %d %v parallel(%d): cost %v != serial %v",
+					i, p.Model.Kind, workers, par.Result.Cost, serial.Result.Cost)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -348,11 +349,12 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 				st.TableBytes += w.table.bytes()
 			}
 			st.LowerBound = ctl.lower
+			st.AutOrder = base.autOrder()
 			*opts.Stats = st
 		}
 	}
 
-	rootKey := start.AppendPacked(nil)
+	rootKey := base.tableKey(start.AppendPacked(nil))
 	rootHash := hashKey(rootKey)
 	h0, dead := base.lb.estimate(start)
 	if dead {
@@ -490,11 +492,7 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 	ctl.lower = incG // proven optimal
 	report()
 
-	logs := make([][]parNode, nw)
-	for i, w := range workers {
-		logs[i] = w.nodes
-	}
-	return shardTrace(p, logs, sh.incShard, sh.incNode), nil
+	return shardTrace(p, base.orb, workers, sh.incShard, sh.incNode), nil
 }
 
 // terminated runs one round of the counting probe: everyone passive,
@@ -841,13 +839,14 @@ func (w *asyncWorker) expand(sh *asyncShared) int {
 				continue
 			}
 			c.keyBuf = c.scratch.AppendPacked(c.keyBuf[:0])
-			ch := hashKey(c.keyBuf)
+			childKey := c.tableKey(c.keyBuf)
+			ch := hashKey(childKey)
 			d := int(ch % uint64(sh.nw))
 			ba := w.out[d]
 			ba.meta = append(ba.meta, proposal{
 				hash: ch, g: childG, pf: e.f, srcShard: w.id, parentNode: e.node, move: m,
 			})
-			ba.keys = append(ba.keys, c.keyBuf...)
+			ba.keys = append(ba.keys, childKey...)
 			if e.f < ba.minPF {
 				ba.minPF = e.f
 			}
@@ -983,22 +982,23 @@ func (sh *asyncShared) snapshot(s *progressSampler, lower int64) ExactProgress {
 }
 
 // shardTrace reconstructs the incumbent's move chain across the
-// per-shard node logs.
-func shardTrace(p Problem, logs [][]parNode, shard, node int32) Solution {
-	var rev []pebble.Move
+// per-shard node logs, unfolds it from orbit representatives to real
+// node IDs and returns the verified solution.
+func shardTrace(p Problem, orb *orbitChain, workers []*asyncWorker, shard, node int32) Solution {
+	var moves []pebble.Move
+	var keys []pebble.PackedKey
 	s, n := shard, node
 	for {
-		nd := logs[s][n]
+		nd := workers[s].nodes[n]
 		if nd.parentShard < 0 {
 			break
 		}
-		rev = append(rev, nd.move)
+		moves = append(moves, nd.move)
+		keys = append(keys, workers[s].table.key(nd.ref))
 		s, n = nd.parentShard, nd.parentNode
 	}
-	moves := make([]pebble.Move, len(rev))
-	for i := range rev {
-		moves[i] = rev[len(rev)-1-i]
-	}
-	tr := &pebble.Trace{Model: p.Model, R: p.R, Convention: p.Convention, Moves: moves}
+	slices.Reverse(moves)
+	slices.Reverse(keys)
+	tr := &pebble.Trace{Model: p.Model, R: p.R, Convention: p.Convention, Moves: orb.unfold(p, moves, keys)}
 	return verify(p, tr)
 }

@@ -47,6 +47,57 @@ func TestAsyncMatchesSerialEverywhere(t *testing.T) {
 			}
 		}
 	}
+
+	// Symmetric DAGs, where the engines search orbits of Aut(G): serial
+	// A*, async HDA* at 2 workers and IDA* must each prove the optimum of
+	// the unreduced Dijkstra reference (HeuristicOff builds no chain).
+	// Every graph runs every model in one of the two conventions (the
+	// paper's and Hong-Kung's), alternating, so each model meets both
+	// across the set. Base and compcost run on the smallest graph only:
+	// their zero-cost compute/delete plateaus make the reference search
+	// expensive.
+	for gi, tc := range symmetricCases() {
+		for ki, kind := range pebble.AllKinds() {
+			if tc.g.N() > 12 && (kind == pebble.Base || kind == pebble.CompCost) {
+				continue
+			}
+			conv := conventions[3*((gi+ki)%2)] // default or srcBlue+sinkBlue
+			p := Problem{G: tc.g, Model: pebble.NewModel(kind), R: 3, Convention: conv}
+			ref, err := Exact(p, ExactOptions{Heuristic: HeuristicOff})
+			if err != nil {
+				t.Fatalf("%s %v %s: reference: %v", tc.name, kind, convName(conv), err)
+			}
+			want := ref.Result.Cost.Scaled(p.Model)
+			check := func(engine string, sol Solution, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s %v %s %s: %v", tc.name, kind, convName(conv), engine, err)
+				}
+				if got := sol.Result.Cost.Scaled(p.Model); got != want {
+					t.Errorf("%s %v %s %s: cost %d != unreduced optimum %d", tc.name, kind, convName(conv), engine, got, want)
+				}
+			}
+			sol, err := Exact(p, ExactOptions{})
+			check("serial", sol, err)
+			sol, err = Exact(p, ExactOptions{Parallel: 2})
+			check("async-2", sol, err)
+			if kind == pebble.Oneshot || kind == pebble.NoDel {
+				sol, err = ExactDFS(p, ExactDFSOptions{})
+				check("ida*", sol, err)
+			}
+		}
+	}
+}
+
+// symmetricCases are the engine-agreement inputs with non-trivial
+// automorphism groups; R=3 is feasible (and smallest) on each.
+func symmetricCases() []orbitGraph {
+	return []orbitGraph{
+		{"fft2", daggen.FFT(2), 64},
+		{"matmul2", daggen.MatMul(2), 16},
+		{"pyramid4", daggen.Pyramid(4), 2},
+		{"2xpyramid3", disjointUnion(daggen.Pyramid(3), daggen.Pyramid(3)), 8},
+	}
 }
 
 // TestAsyncSlowShard injects heavy latency into one shard and checks

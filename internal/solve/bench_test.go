@@ -61,18 +61,24 @@ import (
 //	states/op:  1,265,002 — bit-identical to the committed row, as the
 //	    bucket queue preserves the (f asc, g desc) pop order
 //
-// This PR (engine-introspection snapshots), re-measured on its own
-// container at -benchtime 3x:
+// Engine-introspection snapshots (a sampler that exists only when a
+// listener is attached) cost ~50 samples over a multi-second solve: one
+// histogram slice plus sampler bookkeeping per 100ms snapshot; the
+// listener-less path is guarded by TestNilListenerAllocGuard.
 //
-//	fft(3) R=3 A* nil listener:   5.21 s/op    462 allocs/op
-//	fft(3) R=3 A* 100ms listener: 5.59 s/op    590 allocs/op
+// The symmetry reduction (visited tables keyed by orbit under Aut(G),
+// see orbits.go), median of 3 runs at -benchtime 1x on a 2-core Xeon VM
+// with go1.24 — a host that runs the unchanged Dijkstra rows ~1.5x
+// slower than the one the earlier rows came from, at identical
+// expansion counts:
 //
-// The listener-less run is bit-identical to the pre-change tree (same
-// allocation count and bytes on the same host; the wall gap vs the
-// committed 2.99 s row is container noise — the pre-change tree
-// measures the same 4.2-5.4 s band here). The watching tax is ~50
-// samples over the solve: one histogram slice plus sampler bookkeeping
-// per 100ms snapshot.
+//	fft(3) R=3 A* nil listener:   283 ms/op    381 allocs/op   28,744 states (was 1,265,002)
+//	fft(3) R=3 A* 100ms listener: 322 ms/op
+//	fft(3) R=3 async-hda 4w:      221 ms/op                    28,756 states
+//	fft(3) R=3 IDA*:              1.35 s/op    451 allocs/op  160,834 visits (was 6.17M)
+//	pyramid(5) R=4 A*:             17 ms/op    272 allocs/op    3,735 states (was 7,385)
+//
+// fft(3) has 16,384 automorphisms; pyramid(5) has only its mirror.
 
 // The -benchjson flag, record type and merge-write live in
 // internal/benchharness, shared with the anytime benchmark suite.
@@ -199,8 +205,8 @@ func BenchmarkExactIDAStarPyramid5R4(b *testing.B) {
 }
 
 // BenchmarkExactIDAStarFFT3R3 is the acceptance demonstration for the
-// IDA* rebuild: fft(3) R=3 solves oneshot at ~6.2M visits — well within
-// the 16M default budget.
+// IDA* rebuild: fft(3) R=3 solves oneshot at ~160K visits with its memo
+// keyed by orbit (6.2M unreduced) — far inside the 16M default budget.
 func BenchmarkExactIDAStarFFT3R3(b *testing.B) {
 	benchDFS(b, fft3R3(), ExactDFSOptions{})
 }
@@ -210,8 +216,8 @@ func BenchmarkExactDFSGrid44R3(b *testing.B) {
 }
 
 // BenchmarkMemBudgetAbort measures the memory-governance abort path:
-// fft(3) R=3 (whose full table needs tens of megabytes) under a 1 MiB
-// budget. ns/op is the time from search start to the certified
+// fft(3) R=3 (whose full table needs ~2 MB with the symmetry reduction,
+// 80 MB without) under a 1 MiB budget. ns/op is the time from search start to the certified
 // ErrMemoryBudget abort — the latency bound on a memory-governed solve
 // detecting it cannot finish — and the recorded row carries the
 // harvested certified lower bound and the peak table footprint, which

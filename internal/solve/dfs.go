@@ -73,6 +73,9 @@ type ExactDFSStats struct {
 	// MemoStates is the per-pass memo's distinct state count (reset at
 	// every threshold pass).
 	MemoStates int
+	// AutOrder is the order of the DAG automorphism group the memo and
+	// the transposition cache are keyed by (see ExactStats.AutOrder).
+	AutOrder float64
 }
 
 // ErrVisitLimit is returned when ExactDFS exceeds its visit budget.
@@ -92,7 +95,9 @@ var ErrVisitLimit = errors.New("solve: DFS visit limit exceeded")
 // The recursion shares the best-first solver's machinery: moves are
 // generated from the red frontier, each candidate is applied and undone
 // on the single live state (no cloning), the memo table is keyed on the
-// packed state encoding, and the admissible lower bound prunes branches.
+// packed state's minimal image under the DAG's automorphism group (so a
+// state symmetric to one already searched is pruned like a repeat; see
+// the package doc), and the admissible lower bound prunes branches.
 //
 // Supported models: oneshot and nodel, whose optimal pebblings have
 // O(Δ·n) steps (Lemma 1), giving the recursion a sound depth bound. The
@@ -202,6 +207,7 @@ type dfsSearch struct {
 // stats snapshots the search counters and bounds.
 func (d *dfsSearch) stats() ExactDFSStats {
 	return ExactDFSStats{
+		AutOrder:    d.c.autOrder(),
 		Visits:      d.visits,
 		Iterations:  d.iterations,
 		Threshold:   d.threshold,
@@ -284,15 +290,15 @@ func (d *dfsSearch) visitLimited() bool {
 // bound, it prunes like any other remaining-cost lower bound.
 const dfsDeadH = int64(1) << 40
 
-// cachedH returns the heuristic-cache ref and value for the state
-// encoded in c.keyBuf (estimating on first sight). The cache persists
+// cachedH returns the heuristic-cache ref and value for the live state,
+// whose table key is key (estimating on first sight). The cache persists
 // across IDA* passes — repeated passes re-estimate nothing — and the
 // value is the EFFECTIVE remaining-cost lower bound: the static
 // heuristic, raised by learned bounds from exhausted subtrees (see
 // recIDA), which is what keeps iterative deepening from re-walking
 // transpositions it has already refuted.
-func (d *dfsSearch) cachedH(hash uint64) (int32, int64) {
-	ref, isNew := d.hcache.lookupOrAdd(d.c.keyBuf, hash)
+func (d *dfsSearch) cachedH(key pebble.PackedKey, hash uint64) (int32, int64) {
+	ref, isNew := d.hcache.lookupOrAdd(key, hash)
 	if !isNew {
 		return ref, d.hcache.best(ref)
 	}
@@ -394,13 +400,17 @@ func (d *dfsSearch) recIDA() bool {
 	if st.Steps() >= d.maxDepth {
 		return true
 	}
+	// The memo and the transposition cache are keyed by orbit: a state
+	// symmetric to one already searched has the same remaining cost. The
+	// search itself walks real states, so its moves need no unfolding.
 	c.keyBuf = st.AppendPacked(c.keyBuf[:0])
-	hash := hashKey(c.keyBuf)
-	ref, _ := d.memo.lookupOrAdd(c.keyBuf, hash)
+	key := c.tableKey(c.keyBuf)
+	hash := hashKey(key)
+	ref, _ := d.memo.lookupOrAdd(key, hash)
 	if d.memo.best(ref) <= cost {
 		return true // reached at least as cheaply this pass
 	}
-	href, h := d.cachedH(hash)
+	href, h := d.cachedH(key, hash)
 	f := cost + h
 	if f >= d.bound {
 		return true

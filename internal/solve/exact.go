@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"rbpebble/internal/bitset"
@@ -46,13 +47,19 @@ type ExactOptions struct {
 	// MaxStates caps the number of expanded states (0 means the default
 	// of 2,000,000). The search fails with ErrStateLimit beyond it.
 	MaxStates int
-	// DisablePruning turns off the safe dominance prunes (for the
-	// ablation benchmark; the result is identical, only slower).
+	// DisablePruning turns off the safe dominance prunes, the dead-pebble
+	// quotient and the symmetry reduction (for the ablation benchmark;
+	// the result is identical, only slower). With pruning on, a DAG of
+	// at most 64 nodes is searched over orbits of its automorphism
+	// group — exact, because symmetric states have equal remaining
+	// optimal cost (see the package doc).
 	DisablePruning bool
 	// Heuristic selects the A* lower bound. The zero value
 	// (HeuristicAuto) enables the admissible model-aware bound;
-	// HeuristicOff reverts to plain Dijkstra. Either way the returned
-	// cost is the exact optimum.
+	// HeuristicOff reverts to plain Dijkstra over single states, with no
+	// dead-pebble quotient and no symmetry reduction — the unreduced
+	// reference search. Either way the returned cost is the exact
+	// optimum.
 	Heuristic Heuristic
 	// PruneBound, if > 0, is an exclusive upper bound on interesting
 	// completions: the engines discard every generated state whose
@@ -146,6 +153,11 @@ type ExactStats struct {
 	// when the search stopped. Tables only grow within a run, so this is
 	// the peak — the bench harness records it as peak_table_bytes.
 	TableBytes int64
+	// AutOrder is the order of the DAG automorphism group the search
+	// quotiented its state space by (1 when the symmetry reduction was
+	// off). Expanded and Distinct count orbits, so a symmetric DAG's
+	// counts drop by up to this factor.
+	AutOrder float64
 }
 
 // searchNode records how a state was reached, for path reconstruction:
@@ -210,6 +222,13 @@ type searchCtx struct {
 	// pruning on): see appendMoves.
 	macro bool
 
+	// orb keys the visited tables by orbit under Aut(G) (see orbits.go);
+	// nil runs the unreduced search. Shared read-only across workers;
+	// orbS and canonBuf are each worker's own.
+	orb      *orbitChain
+	orbS     *orbitScratch
+	canonBuf pebble.PackedKey
+
 	scratch *pebble.State
 	lb      *lowerBound
 	cand    *bitset.Set // compute-candidate scratch set
@@ -234,7 +253,34 @@ func newSearchCtx(p Problem, opts ExactOptions, start *pebble.State) *searchCtx 
 		c.compCost = 1
 	}
 	c.macro = c.prune && c.lb.enabled && p.Model.Kind == pebble.Oneshot
+	// The symmetry reduction shares the macro's gate, so HeuristicOff and
+	// DisablePruning stay the unreduced reference searches.
+	if c.prune && c.lb.enabled {
+		if c.orb = buildOrbitChain(p.G); c.orb != nil {
+			c.orbS = new(orbitScratch)
+		}
+	}
 	return c
+}
+
+// tableKey returns the visited-table key of packed state key: key
+// itself without a chain, else its minimal image under Aut(G), written
+// to c.canonBuf (never to key, whose words appendMoves may still read).
+func (c *searchCtx) tableKey(key pebble.PackedKey) pebble.PackedKey {
+	if c.orb == nil {
+		return key
+	}
+	c.canonBuf = c.orb.canon(c.orbS, c.canonBuf[:0], key)
+	return c.canonBuf
+}
+
+// autOrder is the order of the symmetry group the search quotients by
+// (1 without a chain).
+func (c *searchCtx) autOrder() float64 {
+	if c.orb == nil {
+		return 1
+	}
+	return c.orb.order
 }
 
 // cloneForWorker returns a searchCtx for a parallel worker: the
@@ -249,6 +295,10 @@ func (c *searchCtx) cloneForWorker(start *pebble.State) *searchCtx {
 	w.candBuf = nil
 	w.moveBuf = nil
 	w.keyBuf = nil
+	if c.orb != nil {
+		w.orbS = new(orbitScratch)
+	}
+	w.canonBuf = nil
 	return &w
 }
 
@@ -397,11 +447,11 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 	ctl := newSearchCtl(opts.Limits, "states")
 	report := func() {
 		if opts.Stats != nil {
-			*opts.Stats = ExactStats{Expanded: expanded, Pushed: pushed, Distinct: table.count(), LowerBound: ctl.lower, TableBytes: table.bytes()}
+			*opts.Stats = ExactStats{Expanded: expanded, Pushed: pushed, Distinct: table.count(), LowerBound: ctl.lower, TableBytes: table.bytes(), AutOrder: c.autOrder()}
 		}
 	}
 
-	rootKey := start.AppendPacked(nil)
+	rootKey := c.tableKey(start.AppendPacked(nil))
 	rootRef, _ := table.lookupOrAdd(rootKey, hashKey(rootKey))
 	table.setBest(rootRef, 0)
 	nodes = append(nodes, searchNode{parent: -1, ref: rootRef})
@@ -433,7 +483,7 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 		if c.scratch.Complete() {
 			ctl.lower = e.g // proven optimal
 			report()
-			return reconstruct(p, nodes, e.node), nil
+			return reconstruct(p, c.orb, table, nodes, e.node), nil
 		}
 		expanded++
 		if expanded > maxStates {
@@ -460,7 +510,8 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 			}
 			childG := e.g + c.moveCost(m)
 			c.keyBuf = c.scratch.AppendPacked(c.keyBuf[:0])
-			childRef, isNew := table.lookupOrAdd(c.keyBuf, hashKey(c.keyBuf))
+			childKey := c.tableKey(c.keyBuf)
+			childRef, isNew := table.lookupOrAdd(childKey, hashKey(childKey))
 			var h int64
 			if isNew {
 				var dead bool
@@ -508,18 +559,19 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 	return Solution{}, errors.New("solve: state space exhausted without completing (unreachable for feasible R)")
 }
 
-// reconstruct walks the parent chain of goal node idx and returns the
-// verified solution.
-func reconstruct(p Problem, nodes []searchNode, idx int32) Solution {
-	var rev []pebble.Move
+// reconstruct walks the parent chain of goal node idx, unfolds it from
+// orbit representatives to real node IDs and returns the verified
+// solution.
+func reconstruct(p Problem, orb *orbitChain, table *stateTable, nodes []searchNode, idx int32) Solution {
+	var moves []pebble.Move
+	var keys []pebble.PackedKey
 	for i := idx; nodes[i].parent >= 0; i = nodes[i].parent {
-		rev = append(rev, nodes[i].move)
+		moves = append(moves, nodes[i].move)
+		keys = append(keys, table.key(nodes[i].ref))
 	}
-	moves := make([]pebble.Move, len(rev))
-	for i := range rev {
-		moves[i] = rev[len(rev)-1-i]
-	}
-	tr := &pebble.Trace{Model: p.Model, R: p.R, Convention: p.Convention, Moves: moves}
+	slices.Reverse(moves)
+	slices.Reverse(keys)
+	tr := &pebble.Trace{Model: p.Model, R: p.R, Convention: p.Convention, Moves: orb.unfold(p, moves, keys)}
 	return verify(p, tr)
 }
 

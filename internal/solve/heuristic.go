@@ -17,8 +17,10 @@ const (
 	// HeuristicSPartition.
 	HeuristicAuto Heuristic = iota
 	// HeuristicOff disables the lower bound entirely: Exact degenerates
-	// to plain uniform-cost search (Dijkstra), the original behavior.
-	// Useful for ablations and as the reference in admissibility tests.
+	// to plain uniform-cost search (Dijkstra) over single states, the
+	// original behavior — no dead-pebble quotient, no symmetry
+	// reduction. Useful for ablations and as the reference in
+	// admissibility and symmetry-reduction tests.
 	HeuristicOff
 	// HeuristicLowerBound is the single-certificate lower bound
 	// (mustCompute closure + forced transfers + the best one capacity

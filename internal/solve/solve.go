@@ -6,6 +6,19 @@
 // oneshot model, the three greedy strategies analyzed in §8 of the
 // paper, and the naive topological baseline realizing the (2Δ+1)·n
 // universal upper bound.
+//
+// The exact engines search orbits of the DAG's automorphism group
+// rather than single states: every visited-table key is the packed
+// state's minimal image under Aut(G) (orbits.go). An automorphism
+// preserves sources, sinks, legality, costs, the goal and the dominance
+// prunes, so symmetric states have the same optimal remaining cost and
+// the quotient search proves the same optimum; the returned trace is
+// unfolded back to real node IDs and replay-verified. The reduction
+// runs on DAGs of at most 64 nodes with pruning and the heuristic on,
+// which leaves HeuristicOff and DisablePruning as the unreduced
+// reference searches. On the symmetric families it is large: fft(3) has
+// 16,384 automorphisms, and its R=3 search drops from 1.27M to 28,744
+// expanded states.
 package solve
 
 import (

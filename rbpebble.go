@@ -175,11 +175,13 @@ type (
 	// ExactOptions configures the exact solver: the shared Limits, state
 	// budget (MaxStates), A* lower-bound tier (Heuristic: S-partition by
 	// default), hash-sharded parallel expansion (Parallel workers of the
-	// async HDA* engine), search counters (Stats) and the dominance
-	// pruning ablation switch (DisablePruning).
+	// async HDA* engine), search counters (Stats) and the pruning
+	// ablation switch (DisablePruning, which also turns off the symmetry
+	// reduction).
 	ExactOptions = solve.ExactOptions
 	// ExactStats reports search-effort counters from one Exact run
-	// (states expanded, open-list pushes, distinct states reached).
+	// (states expanded, open-list pushes, distinct states reached, and
+	// the order of the automorphism group the search quotiented by).
 	ExactStats = solve.ExactStats
 	// Heuristic selects the exact solver's A* lower bound tier.
 	Heuristic = solve.Heuristic
@@ -226,9 +228,10 @@ var (
 	// Exact finds a provably optimal pebbling by best-first state-space
 	// search: A* under an admissible model-aware lower bound (the
 	// S-partition tier by default; Dijkstra with HeuristicOff), over
-	// packed states in an open-addressing table, with optional
-	// hash-sharded parallel expansion (ExactOptions.Parallel workers of
-	// the async HDA* engine).
+	// packed states in an open-addressing table — keyed by orbit under
+	// the DAG's automorphism group on DAGs of at most 64 nodes — with
+	// optional hash-sharded parallel expansion (ExactOptions.Parallel
+	// workers of the async HDA* engine).
 	Exact = solve.Exact
 	// OrderOpt finds the oneshot optimum by order enumeration + Belady.
 	OrderOpt = solve.OrderOpt
