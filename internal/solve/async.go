@@ -492,7 +492,7 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 	ctl.lower = incG // proven optimal
 	report()
 
-	return shardTrace(p, base.orb, workers, sh.incShard, sh.incNode), nil
+	return shardTrace(p, base, workers, sh.incShard, sh.incNode), nil
 }
 
 // terminated runs one round of the counting probe: everyone passive,
@@ -984,7 +984,7 @@ func (sh *asyncShared) snapshot(s *progressSampler, lower int64) ExactProgress {
 // shardTrace reconstructs the incumbent's move chain across the
 // per-shard node logs, unfolds it from orbit representatives to real
 // node IDs and returns the verified solution.
-func shardTrace(p Problem, orb *orbitChain, workers []*asyncWorker, shard, node int32) Solution {
+func shardTrace(p Problem, c *searchCtx, workers []*asyncWorker, shard, node int32) Solution {
 	var moves []pebble.Move
 	var keys []pebble.PackedKey
 	s, n := shard, node
@@ -999,6 +999,6 @@ func shardTrace(p Problem, orb *orbitChain, workers []*asyncWorker, shard, node 
 	}
 	slices.Reverse(moves)
 	slices.Reverse(keys)
-	tr := &pebble.Trace{Model: p.Model, R: p.R, Convention: p.Convention, Moves: orb.unfold(p, moves, keys)}
+	tr := &pebble.Trace{Model: p.Model, R: p.R, Convention: p.Convention, Moves: c.orb.unfold(p, c.forget, moves, keys)}
 	return verify(p, tr)
 }

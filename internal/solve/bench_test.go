@@ -9,10 +9,10 @@ import (
 	"rbpebble/internal/pebble"
 )
 
-// Solver microbenchmarks on the canonical workloads at fixed R, all in
-// the oneshot model. Each benchmark reports states-expanded (for the
-// exact searches) alongside ns/op and allocs/op, and the whole suite
-// can emit machine-readable results for cross-PR tracking (a relative
+// Solver microbenchmarks on the canonical workloads at fixed R, in the
+// oneshot model unless the name says otherwise. Each benchmark reports
+// states-expanded (for the exact searches) alongside ns/op and
+// allocs/op, and the whole suite can emit machine-readable results for cross-PR tracking (a relative
 // path resolves against the package directory, so pass an absolute one
 // to refresh the repo-root artifact):
 //
@@ -79,6 +79,20 @@ import (
 //	pyramid(5) R=4 A*:             17 ms/op    272 allocs/op    3,735 states (was 7,385)
 //
 // fft(3) has 16,384 automorphisms; pyramid(5) has only its mirror.
+//
+// Outside oneshot the table keys drop the computed plane (see
+// searchCtx.tableKey), median of 3 runs at -benchtime 1x on the same
+// 2-core Xeon VM with go1.24, full keys first, projected keys below:
+//
+//	pyramid(4) R=4 base A*:      996 ms/op  274,393 states  437,261 distinct  29.0 MB table
+//	                     now:    126 ms/op   39,655 states   76,159 distinct   4.5 MB table
+//	fft(2) R=3 compcost A*:       51 ms/op   13,921 states   18,264 distinct   1.1 MB table
+//	                     now:     10 ms/op    2,574 states    3,546 distinct   0.2 MB table
+//
+// Every oneshot row keeps its counters bit-identical. The memory-budget
+// abort moved from fft(3) (~121 ms to trip; its reduced table barely
+// outgrows the budget) to the asymmetric layeredR3 (~25 ms), with the
+// same 1 MiB budget and a harvested lower bound of 9.
 
 // The -benchjson flag, record type and merge-write live in
 // internal/benchharness, shared with the anytime benchmark suite.
@@ -103,6 +117,20 @@ func fft3R3() Problem {
 
 func grid44R3() Problem {
 	return Problem{G: daggen.Grid(4, 4), Model: pebble.NewModel(pebble.Oneshot), R: 3}
+}
+
+func pyramid4R4Base() Problem {
+	return Problem{G: daggen.Pyramid(4), Model: pebble.NewModel(pebble.Base), R: 4}
+}
+
+func fft2R3CompCost() Problem {
+	return Problem{G: daggen.FFT(2), Model: pebble.NewModel(pebble.CompCost), R: 3}
+}
+
+// layeredR3 is an asymmetric 24-node DAG (no automorphisms), so neither
+// the symmetry reduction nor the history projection shrinks its table.
+func layeredR3() Problem {
+	return Problem{G: daggen.RandomLayered(4, 6, 2, 12), Model: pebble.NewModel(pebble.Oneshot), R: 3}
 }
 
 func benchExact(b *testing.B, p Problem, opts ExactOptions) {
@@ -149,6 +177,15 @@ func BenchmarkExactAStarGrid44R3(b *testing.B) { benchExact(b, grid44R3(), Exact
 
 func BenchmarkExactDijkstraGrid44R3(b *testing.B) {
 	benchExact(b, grid44R3(), ExactOptions{Heuristic: HeuristicOff})
+}
+
+// Serial A* outside oneshot, where the table keys drop the computed
+// plane: these rows track the base and compcost counters.
+
+func BenchmarkExactAStarPyramid4R4Base(b *testing.B) { benchExact(b, pyramid4R4Base(), ExactOptions{}) }
+
+func BenchmarkExactAStarFFT2R3CompCost(b *testing.B) {
+	benchExact(b, fft2R3CompCost(), ExactOptions{})
 }
 
 // S-partition vs single-certificate bound on the pyramid at R = Δ+1 —
@@ -216,14 +253,15 @@ func BenchmarkExactDFSGrid44R3(b *testing.B) {
 }
 
 // BenchmarkMemBudgetAbort measures the memory-governance abort path:
-// fft(3) R=3 (whose full table needs ~2 MB with the symmetry reduction,
-// 80 MB without) under a 1 MiB budget. ns/op is the time from search start to the certified
+// the asymmetric layeredR3 instance (oneshot optimum 19, a
+// multi-second solve whose table grows far past the budget) under a
+// 1 MiB budget. ns/op is the time from search start to the certified
 // ErrMemoryBudget abort — the latency bound on a memory-governed solve
 // detecting it cannot finish — and the recorded row carries the
 // harvested certified lower bound and the peak table footprint, which
 // must sit at the budget, not above it.
 func BenchmarkMemBudgetAbort(b *testing.B) {
-	p := fft3R3()
+	p := layeredR3()
 	b.ReportAllocs()
 	var stats ExactStats
 	m0 := benchharness.Before()

@@ -48,18 +48,19 @@ type ExactOptions struct {
 	// of 2,000,000). The search fails with ErrStateLimit beyond it.
 	MaxStates int
 	// DisablePruning turns off the safe dominance prunes, the dead-pebble
-	// quotient and the symmetry reduction (for the ablation benchmark;
-	// the result is identical, only slower). With pruning on, a DAG of
-	// at most 64 nodes is searched over orbits of its automorphism
-	// group — exact, because symmetric states have equal remaining
-	// optimal cost (see the package doc).
+	// quotient, the history projection and the symmetry reduction (for
+	// the ablation benchmark; the result is identical, only slower).
+	// With pruning on, the tables outside oneshot forget which nodes
+	// were computed, and a DAG of at most 64 nodes is searched over
+	// orbits of its automorphism group — exact, because the merged
+	// states have equal remaining optimal cost (see the package doc).
 	DisablePruning bool
 	// Heuristic selects the A* lower bound. The zero value
 	// (HeuristicAuto) enables the admissible model-aware bound;
-	// HeuristicOff reverts to plain Dijkstra over single states, with no
-	// dead-pebble quotient and no symmetry reduction — the unreduced
-	// reference search. Either way the returned cost is the exact
-	// optimum.
+	// HeuristicOff reverts to plain Dijkstra over single full states
+	// (red, blue, computed), with no dead-pebble quotient, no history
+	// projection and no symmetry reduction — the unreduced reference
+	// search. Either way the returned cost is the exact optimum.
 	Heuristic Heuristic
 	// PruneBound, if > 0, is an exclusive upper bound on interesting
 	// completions: the engines discard every generated state whose
@@ -139,7 +140,10 @@ type ExactStats struct {
 	Expanded int
 	// Pushed is the number of open-list insertions (improvements).
 	Pushed int
-	// Distinct is the number of distinct states ever reached.
+	// Distinct is the number of distinct table keys ever reached:
+	// outside oneshot (pruning and heuristic on) a key ignores which
+	// nodes were computed, so states differing only in that history
+	// count once.
 	Distinct int
 	// LowerBound is the best certified lower bound (scaled cost units)
 	// on the optimum when the search stopped: the optimum itself on
@@ -155,8 +159,9 @@ type ExactStats struct {
 	TableBytes int64
 	// AutOrder is the order of the DAG automorphism group the search
 	// quotiented its state space by (1 when the symmetry reduction was
-	// off). Expanded and Distinct count orbits, so a symmetric DAG's
-	// counts drop by up to this factor.
+	// off). Expanded and Distinct count orbits of table keys, so a
+	// symmetric DAG's counts drop by up to this factor beyond the
+	// history projection.
 	AutOrder float64
 }
 
@@ -171,11 +176,15 @@ type searchNode struct {
 }
 
 // Exact finds a provably minimum-cost pebbling by best-first search over
-// the state space (red set, blue set, computed set): A* under an
-// admissible lower bound (see Heuristic), degenerating to Dijkstra with
-// the bound off. It works for every model variant but scales only to
-// small DAGs — which is the paper's point: the problem is NP-hard
-// (PSPACE-hard in base).
+// the state space: A* under an admissible lower bound (see Heuristic),
+// degenerating to Dijkstra with the bound off. A state is (red set,
+// blue set, computed set), but the visited tables key it by what the
+// model can tell apart: the computed set only in oneshot, the one
+// model that bans recomputation, and the minimal image under Aut(G)
+// on DAGs of at most 64 nodes. The reference searches (HeuristicOff,
+// DisablePruning) key every full state. It works for every model
+// variant but scales only to small DAGs — which is the paper's point:
+// the problem is NP-hard (PSPACE-hard in base).
 //
 // The search core is allocation-free on the hot path: states are packed
 // into []uint64 keys deduplicated in an open-addressing table, the open
@@ -222,6 +231,10 @@ type searchCtx struct {
 	// pruning on): see appendMoves.
 	macro bool
 
+	// forget projects the computed plane out of every table key
+	// (heuristic and pruning on, every model but oneshot): see tableKey.
+	forget bool
+
 	// orb keys the visited tables by orbit under Aut(G) (see orbits.go);
 	// nil runs the unreduced search. Shared read-only across workers;
 	// orbS and canonBuf are each worker's own.
@@ -252,10 +265,13 @@ func newSearchCtx(p Problem, opts ExactOptions, start *pebble.State) *searchCtx 
 		c.scale = int64(p.Model.EpsDenom)
 		c.compCost = 1
 	}
-	c.macro = c.prune && c.lb.enabled && p.Model.Kind == pebble.Oneshot
-	// The symmetry reduction shares the macro's gate, so HeuristicOff and
-	// DisablePruning stay the unreduced reference searches.
-	if c.prune && c.lb.enabled {
+	reduce := c.prune && c.lb.enabled
+	c.macro = reduce && p.Model.Kind == pebble.Oneshot
+	c.forget = reduce && p.Model.Kind != pebble.Oneshot
+	// The history projection and the symmetry reduction share the
+	// macro's gate, so HeuristicOff and DisablePruning stay the
+	// unreduced reference searches.
+	if reduce {
 		if c.orb = buildOrbitChain(p.G); c.orb != nil {
 			c.orbS = new(orbitScratch)
 		}
@@ -263,15 +279,35 @@ func newSearchCtx(p Problem, opts ExactOptions, start *pebble.State) *searchCtx 
 	return c
 }
 
-// tableKey returns the visited-table key of packed state key: key
-// itself without a chain, else its minimal image under Aut(G), written
-// to c.canonBuf (never to key, whose words appendMoves may still read).
+// tableKey returns the visited-table key of packed state key. Outside
+// oneshot it first drops the computed plane (see forgetHistory); with a
+// chain it then takes the minimal image under Aut(G). A changed key is
+// written to c.canonBuf, never to key, whose words appendMoves may
+// still read.
 func (c *searchCtx) tableKey(key pebble.PackedKey) pebble.PackedKey {
+	if c.forget {
+		c.canonBuf = forgetHistory(append(c.canonBuf[:0], key...))
+		key = c.canonBuf
+	}
 	if c.orb == nil {
 		return key
 	}
+	// key may alias c.canonBuf here: canon reads its source before it
+	// appends the image.
 	c.canonBuf = c.orb.canon(c.orbS, c.canonBuf[:0], key)
 	return c.canonBuf
+}
+
+// forgetHistory zeroes the computed plane of packed key k in place and
+// returns k. The plane is read only by the oneshot recompute ban:
+// outside oneshot, legality, move costs, the goal, the lower bound and
+// the prunes ignore it, so two states that differ only in what was
+// computed have the same successors, costs and h, hence the same
+// optimal remaining cost. The key keeps its three planes, so the orbit
+// kernel, the tables and the shard hash see one key shape.
+func forgetHistory(k pebble.PackedKey) pebble.PackedKey {
+	clear(k[2*len(k)/3:])
+	return k
 }
 
 // autOrder is the order of the symmetry group the search quotients by
@@ -483,7 +519,7 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 		if c.scratch.Complete() {
 			ctl.lower = e.g // proven optimal
 			report()
-			return reconstruct(p, c.orb, table, nodes, e.node), nil
+			return reconstruct(p, c, table, nodes, e.node), nil
 		}
 		expanded++
 		if expanded > maxStates {
@@ -562,7 +598,7 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 // reconstruct walks the parent chain of goal node idx, unfolds it from
 // orbit representatives to real node IDs and returns the verified
 // solution.
-func reconstruct(p Problem, orb *orbitChain, table *stateTable, nodes []searchNode, idx int32) Solution {
+func reconstruct(p Problem, c *searchCtx, table *stateTable, nodes []searchNode, idx int32) Solution {
 	var moves []pebble.Move
 	var keys []pebble.PackedKey
 	for i := idx; nodes[i].parent >= 0; i = nodes[i].parent {
@@ -571,7 +607,7 @@ func reconstruct(p Problem, orb *orbitChain, table *stateTable, nodes []searchNo
 	}
 	slices.Reverse(moves)
 	slices.Reverse(keys)
-	tr := &pebble.Trace{Model: p.Model, R: p.R, Convention: p.Convention, Moves: orb.unfold(p, moves, keys)}
+	tr := &pebble.Trace{Model: p.Model, R: p.R, Convention: p.Convention, Moves: c.orb.unfold(p, c.forget, moves, keys)}
 	return verify(p, tr)
 }
 

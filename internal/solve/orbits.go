@@ -604,8 +604,11 @@ func (oc *orbitChain) canonPerm(s *orbitScratch, src []uint64, g []int) orbitCan
 // automorphism: tau carries the real state onto the current
 // representative, and each move is pulled back through it. keys[i] is
 // the stored key the i-th step must reproduce; a mismatch is an
-// internal error. Without a chain the moves are real already.
-func (oc *orbitChain) unfold(p Problem, moves []pebble.Move, keys []pebble.PackedKey) []pebble.Move {
+// internal error. forget reports that the search keyed its tables
+// without the computed plane (searchCtx.forget), so each replayed key
+// drops it the same way before canon (the start state has computed
+// nothing). Without a chain the moves are real already.
+func (oc *orbitChain) unfold(p Problem, forget bool, moves []pebble.Move, keys []pebble.PackedKey) []pebble.Move {
 	if oc == nil {
 		return moves
 	}
@@ -627,7 +630,9 @@ func (oc *orbitChain) unfold(p Problem, moves []pebble.Move, keys []pebble.Packe
 		if err := rep.Apply(m); err != nil {
 			panic("solve: unfold: stored move is illegal on its representative: " + err.Error())
 		}
-		key = rep.AppendPacked(key[:0])
+		if key = rep.AppendPacked(key[:0]); forget {
+			forgetHistory(key)
+		}
 		if r = oc.canonPerm(s, key, pi); !orbitKeyEqual(r[:], keys[i]) {
 			panic("solve: unfold: replayed step does not reproduce its stored key")
 		}

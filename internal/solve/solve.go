@@ -7,18 +7,26 @@
 // paper, and the naive topological baseline realizing the (2Δ+1)·n
 // universal upper bound.
 //
-// The exact engines search orbits of the DAG's automorphism group
-// rather than single states: every visited-table key is the packed
-// state's minimal image under Aut(G) (orbits.go). An automorphism
+// The exact engines key their visited tables by what the model can tell
+// apart. Outside oneshot no rule reads which nodes were computed — only
+// the oneshot recompute ban does — so the key drops the computed plane
+// (searchCtx.tableKey): states that differ only in their compute
+// history have the same successors, move costs, goal status and lower
+// bound, hence the same optimal remaining cost, and are stored once.
+// On top of that the engines search orbits of the DAG's automorphism
+// group rather than single states: every visited-table key is the
+// packed state's minimal image under Aut(G) (orbits.go). An automorphism
 // preserves sources, sinks, legality, costs, the goal and the dominance
 // prunes, so symmetric states have the same optimal remaining cost and
 // the quotient search proves the same optimum; the returned trace is
-// unfolded back to real node IDs and replay-verified. The reduction
-// runs on DAGs of at most 64 nodes with pruning and the heuristic on,
-// which leaves HeuristicOff and DisablePruning as the unreduced
-// reference searches. On the symmetric families it is large: fft(3) has
-// 16,384 automorphisms, and its R=3 search drops from 1.27M to 28,744
-// expanded states.
+// unfolded back to real node IDs and replay-verified. Both reductions
+// need pruning and the heuristic on, which leaves HeuristicOff and
+// DisablePruning as the unreduced reference searches over full states;
+// the orbit reduction also needs a DAG of at most 64 nodes, the history
+// projection runs at any size. On the symmetric families the orbit
+// reduction is large: fft(3) has 16,384 automorphisms, and its R=3
+// search drops from 1.27M to 28,744 expanded states. The projection
+// cuts base pyramid(4) R=4 from 274,393 to 39,655.
 package solve
 
 import (

@@ -190,8 +190,11 @@ type (
 	// and ErrMemoryBudget).
 	ExactDFSStats = solve.ExactDFSStats
 	// PackedKey is the packed []uint64 encoding of a pebbling position
-	// (State.AppendPacked/RestorePacked), the representation the exact
-	// solvers key their visited tables on.
+	// (State.AppendPacked/RestorePacked): the red, blue and computed
+	// planes. The exact solvers key their visited tables on it, with the
+	// computed plane zeroed outside oneshot (only oneshot's recompute ban
+	// reads it) unless HeuristicOff or DisablePruning asks for the full
+	// reference search.
 	PackedKey = pebble.PackedKey
 	// OrderOptOptions configures the order-enumeration optimum.
 	OrderOptOptions = solve.OrderOptOptions
