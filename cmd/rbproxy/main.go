@@ -1,10 +1,12 @@
 // Command rbproxy is the cluster front end for a fleet of rbserve
 // replicas: it routes each POST /solve to the node that owns the
-// request's canonical instance key on a consistent-hash ring (so
-// repeated and isomorphic submissions of an instance warm the same
-// node's interval cache), fails over along the ring when a node dies
-// or drains, fans async-job polls out across the fleet, and merges the
-// nodes' /metrics and /healthz into cluster-level views.
+// request's route token — a cheap isomorphism invariant of the
+// instance — on a consistent-hash ring (so repeated and isomorphic
+// submissions of an instance warm the same node's interval cache, and
+// only that node runs the canonical search), fails over along the ring
+// when a node dies or drains, fans async-job polls out across the
+// fleet, and merges the nodes' /metrics and /healthz into
+// cluster-level views.
 //
 // Membership is dynamic: nodes started with -join register themselves
 // on POST /cluster/join and renew a TTL lease; nodes that stop renewing

@@ -140,16 +140,18 @@ func (a *Agent) updateRing(jr JoinResponse) {
 	a.cfg.Logf("cluster agent: ring mirror updated (%d members)", len(members))
 }
 
-// Owns reports whether this node is the first ring owner of key — the
-// background refiner's ownership filter. Before the first join
-// response carrying a member list, every key is owned: a solo or
-// just-started node refines everything rather than nothing.
+// Owns reports whether this node is the first ring owner of cache key
+// key — of its route token (instcache.RouteOf), which is what the
+// proxy routes the key's requests by. It is the background refiner's
+// ownership filter. Before the first join response carrying a member
+// list, every key is owned: a solo or just-started node refines
+// everything rather than nothing.
 func (a *Agent) Owns(key string) bool {
 	r := a.ring.Load()
 	if r == nil {
 		return true
 	}
-	owners := r.Owners(key, 1)
+	owners := r.Owners(instcache.RouteOf(key), 1)
 	return len(owners) == 0 || owners[0] == a.cfg.Self
 }
 

@@ -79,8 +79,9 @@ type proxyMetrics struct {
 }
 
 // Proxy is the cluster front end: it routes each POST /solve to the
-// replica owning the request's canonical instance key (so repeats and
-// isomorphic relabelings warm the same node's interval cache), fails
+// replica owning the request's route token, an isomorphism invariant
+// of the instance (so repeats and isomorphic relabelings warm the same
+// node's interval cache, and only that node canonicalizes), fails
 // over along the ring on node failure, fans job polls out to every
 // node, merges the fleet's /metrics and /healthz into cluster-level
 // views, and runs the elastic-membership plane: nodes join and renew
@@ -211,22 +212,24 @@ func (p *Proxy) sweepLoop() {
 	}
 }
 
-// RouteKey computes the canonical routing key of a solve request by
-// parsing it exactly the way a node will (service.BuildProblem, with
-// the same node-count guard) and keying the resulting instance.
-// Isomorphic relabelings of one DAG yield one key, so they all route
-// to the same replica's cache.
+// RouteKey computes the routing key of a solve request: it parses the
+// request exactly the way a node will (service.BuildProblem, with the
+// same node-count guard, so a bad instance is refused here with the
+// node's error) and returns the instance's route token
+// (instcache.Instance.Route). The token is an isomorphism invariant,
+// so relabelings of one DAG route to the same replica's cache; it
+// costs O(n+m) and no canonical search, which only the owning node
+// runs. Every ring lookup — here, in batch fan-out, in cache handoff
+// and replication, and in the node's refiner — hashes the same token.
 func RouteKey(req service.SolveRequest, maxNodes int) (string, error) {
 	prob, err := service.BuildProblem(req, maxNodes)
 	if err != nil {
 		return "", err
 	}
-	inst := instcache.Instance{G: prob.G, Model: prob.Model, R: prob.R, Convention: prob.Convention}
-	key, _ := inst.Key()
-	return key, nil
+	return instcache.Instance{G: prob.G, Model: prob.Model, R: prob.R, Convention: prob.Convention}.Route(), nil
 }
 
-// handleSolve routes by canonical instance key with ring-order
+// handleSolve routes by route token (RouteKey) with ring-order
 // failover: a connection error, a 502, or a draining 503 from the
 // owner demotes it and moves on to the next ring member.
 func (p *Proxy) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -259,7 +262,7 @@ func (p *Proxy) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rsp.End()
-	owners := p.ring.Owners(key, len(p.ring.Members()))
+	owners := p.ring.Owners(instcache.RouteOf(key), len(p.ring.Members()))
 	if len(owners) == 0 {
 		p.m.errors.Add(1)
 		httpError(w, http.StatusServiceUnavailable, "no cluster members")
@@ -617,11 +620,12 @@ func (p *Proxy) routeImports(ctx context.Context, entries []instcache.Entry, exc
 }
 
 // importTarget picks the member that should receive an imported entry
-// for key: the first ring owner that is not the sender, not draining,
-// not demoted, not behind an open breaker, and not already failed this
-// routing pass.
+// for cache key key: the first owner of its route token
+// (instcache.RouteOf) — the node requests for the key route to — that
+// is not the sender, not draining, not demoted, not behind an open
+// breaker, and not already failed this routing pass.
 func (p *Proxy) importTarget(key, exclude string, failed map[string]bool) string {
-	for _, m := range p.ring.Owners(key, len(p.ring.Members())) {
+	for _, m := range p.ring.Owners(instcache.RouteOf(key), len(p.ring.Members())) {
 		if m == exclude || failed[m] || !p.ring.Healthy(m) ||
 			p.membership.Draining(m) || p.comm.BreakerOpen(m) {
 			continue

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"rbpebble/internal/instcache"
 	"rbpebble/internal/obs"
 	"rbpebble/internal/service"
 )
@@ -45,12 +46,12 @@ type subBatch struct {
 	idxs  []int // idxs[local] = original index
 }
 
-// handleSolveBatch splits a client batch by canonical instance key
+// handleSolveBatch splits a client batch by route token (RouteKey)
 // across the ring, fans the per-node sub-batches out through the
 // hardened comm layer, and reassembles per-item results in request
-// order. Splitting by canonical key keeps the node-side in-batch dedup
-// effective: every isomorphism class lands whole on the replica whose
-// cache owns it.
+// order. The token is an isomorphism invariant, so splitting by it
+// keeps the node-side in-batch dedup effective: every isomorphism
+// class lands whole on the replica whose cache owns it.
 func (p *Proxy) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	p.m.requests.Add(1)
 	// Trace before any rejection so quota 429s and parse 400s carry
@@ -73,7 +74,7 @@ func (p *Proxy) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	p.m.batches.Add(1)
 	p.m.batchItems.Add(uint64(len(req.Items)))
 
-	// Route every item: canonical key -> first eligible ring owner.
+	// Route every item: route token -> first eligible ring owner.
 	// Items the routing parse rejects get their per-item error here
 	// (the node would reject them identically); they don't burn a
 	// forward.
@@ -244,10 +245,10 @@ func (p *Proxy) forwardSubBatch(ctx context.Context, target string, g *subBatch,
 }
 
 // batchTarget picks the first eligible ring owner for one batch item's
-// key: not demoted, not draining, not behind an open breaker, not
-// already failed during this request's fan-out.
+// route token: not demoted, not draining, not behind an open breaker,
+// not already failed during this request's fan-out.
 func (p *Proxy) batchTarget(key string, failed map[string]bool) string {
-	for _, m := range p.ring.Owners(key, len(p.ring.Members())) {
+	for _, m := range p.ring.Owners(instcache.RouteOf(key), len(p.ring.Members())) {
 		if failed[m] || !p.ring.Healthy(m) || p.membership.Draining(m) || p.comm.BreakerOpen(m) {
 			continue
 		}

@@ -1,10 +1,11 @@
 // Package cluster shards rbserve across hosts: a consistent-hash ring
-// routes each solve to the replica that owns its canonical instance
-// key, so repeated and isomorphic submissions of the same instance
-// land on the same node's cache and warm-start each other, while the
-// rest of the fleet stays free for other instances. The package
-// provides the ring (virtual nodes, rendezvous tie-break), a member
-// health prober, and the HTTP routing proxy served by cmd/rbproxy.
+// routes each solve to the replica that owns its route token (an
+// isomorphism invariant of the instance, instcache.Instance.Route), so
+// repeated and isomorphic submissions of the same instance land on the
+// same node's cache and warm-start each other, while the rest of the
+// fleet stays free for other instances. The package provides the ring
+// (virtual nodes, rendezvous tie-break), a member health prober, and
+// the HTTP routing proxy served by cmd/rbproxy.
 package cluster
 
 import (
@@ -27,10 +28,10 @@ type point struct {
 
 // Ring is a consistent-hash ring over cluster members with virtual
 // nodes and rendezvous (highest-random-weight) tie-breaking. Keys are
-// canonical instance keys (instcache.Instance.Key), so the ring
-// inherits their isomorphism invariance: relabeled copies of a DAG
-// route to the same member. The zero value is not usable; call
-// NewRing.
+// route tokens (instcache.Instance.Route, or instcache.RouteOf of a
+// cache key), so the ring inherits their isomorphism invariance:
+// relabeled copies of a DAG route to the same member. The zero value
+// is not usable; call NewRing.
 type Ring struct {
 	mu      sync.RWMutex
 	vnodes  int

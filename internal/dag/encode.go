@@ -136,13 +136,30 @@ func (g *DAG) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
-func (g *DAG) UnmarshalJSON(data []byte) error {
+func (g *DAG) UnmarshalJSON(data []byte) error { return g.decodeJSON(data, 0) }
+
+// DecodeJSON parses the JSON wire form like UnmarshalJSON, in one pass,
+// but refuses a graph that declares more than maxNodes nodes before
+// allocating it (maxNodes <= 0 means no limit): a tiny body declaring
+// two billion nodes allocates nothing.
+func DecodeJSON(data []byte, maxNodes int) (*DAG, error) {
+	g := new(DAG)
+	if err := g.decodeJSON(data, maxNodes); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+func (g *DAG) decodeJSON(data []byte, maxNodes int) error {
 	var jd jsonDAG
 	if err := json.Unmarshal(data, &jd); err != nil {
 		return err
 	}
 	if jd.Nodes < 0 {
 		return fmt.Errorf("dag: negative node count %d", jd.Nodes)
+	}
+	if maxNodes > 0 && jd.Nodes > maxNodes {
+		return fmt.Errorf("dag: instance has %d nodes, limit %d", jd.Nodes, maxNodes)
 	}
 	*g = *New(jd.Nodes)
 	for _, e := range jd.Edges {

@@ -16,15 +16,19 @@
 // SHA-256 collisions) — a budget exhaustion can only cost cache hits,
 // never poison the cache.
 //
-// The key sits on every request's path (twice behind a proxy), so the
-// kernel avoids per-round allocation: refinement signatures are int32
-// runs in one reused arena, ordered lexicographically with a proper
-// prefix first and the pred/succ separator above every color (the byte
-// order of the big-endian string signatures earlier releases hashed,
-// so keys are unchanged). The search skips branches through twins —
-// nodes with identical predecessor and successor sets: such a branch
-// is an automorphic image of one already explored, so within budget
-// pruning it leaves key and permutation unchanged.
+// The key sits on every request's path, so the kernel avoids
+// per-round allocation: refinement signatures are int32 runs in one
+// reused arena, ordered lexicographically with a proper prefix first
+// and the pred/succ separator above every color (the byte order of the
+// big-endian string signatures earlier releases hashed, so digests and
+// permutations are unchanged). The search skips branches through
+// twins — nodes with identical predecessor and successor sets: such a
+// branch is an automorphic image of one already explored, so within
+// budget pruning it leaves digest and permutation unchanged.
+//
+// A cluster picks a key's node by the cheaper Route invariant, which
+// leads every key, so a request behind a proxy is canonicalized once,
+// at the node that owns its route.
 package instcache
 
 import (
@@ -390,14 +394,15 @@ type Instance struct {
 	Convention pebble.Convention
 }
 
-// Key returns the canonical cache key of the instance — the canonical
-// graph digest combined with every cost-relevant parameter — and the
+// Key returns the canonical cache key of the instance — its route
+// token (Route, the field RouteOf reads back), then the canonical graph
+// digest combined with every cost-relevant parameter — and the
 // canonical permutation (perm[orig] = canonical ID) needed to translate
 // traces in and out of canonical node numbering.
 func (in Instance) Key() (string, []dag.NodeID) {
 	digest, perm := Canonical(in.G)
-	key := fmt.Sprintf("%x|%s|eps%d|r%d|sb%t|bb%t",
-		digest, in.Model.Kind, in.Model.EpsDenom, in.R,
+	key := fmt.Sprintf("%s|%x|%s|eps%d|r%d|sb%t|bb%t",
+		in.Route(), digest, in.Model.Kind, in.Model.EpsDenom, in.R,
 		in.Convention.SourcesStartBlue, in.Convention.SinksMustBeBlue)
 	return key, perm
 }

@@ -680,30 +680,18 @@ func (s *Server) worker() {
 }
 
 // BuildProblem validates a solve request into a Problem. maxNodes <= 0
-// means no size limit. The graph is materialized only after its
-// declared node count passes the guard, so a tiny request body
-// declaring a huge node count cannot allocate. It is exported so the
-// cluster routing proxy can parse a request exactly the way the node
-// will, compute its canonical instance key, and route on it.
+// means no size limit. The DAG JSON is decoded once, and the graph is
+// materialized only after its declared node count passes the guard, so
+// a tiny request body declaring a huge node count cannot allocate. It
+// is exported so the cluster routing proxy can parse a request exactly
+// the way the node will and route on the resulting instance.
 func BuildProblem(req SolveRequest, maxNodes int) (solve.Problem, error) {
 	if len(req.DAG) == 0 || string(req.DAG) == "null" {
 		return solve.Problem{}, errors.New("missing dag")
 	}
-	var head struct {
-		Nodes int `json:"nodes"`
-	}
-	if err := json.Unmarshal(req.DAG, &head); err != nil {
+	g, err := dag.DecodeJSON(req.DAG, maxNodes)
+	if err != nil {
 		return solve.Problem{}, fmt.Errorf("bad dag: %w", err)
-	}
-	if maxNodes > 0 && head.Nodes > maxNodes {
-		return solve.Problem{}, fmt.Errorf("instance has %d nodes, limit %d", head.Nodes, maxNodes)
-	}
-	g := new(dag.DAG)
-	if err := json.Unmarshal(req.DAG, g); err != nil {
-		return solve.Problem{}, fmt.Errorf("bad dag: %w", err)
-	}
-	if maxNodes > 0 && g.N() > maxNodes {
-		return solve.Problem{}, fmt.Errorf("instance has %d nodes, limit %d", g.N(), maxNodes)
 	}
 	var model pebble.Model
 	switch req.Model {
@@ -853,12 +841,12 @@ func (s *Server) runSolve(ctx context.Context, p solve.Problem, deadline time.Du
 	inst := instcache.Instance{G: p.G, Model: p.Model, R: p.R, Convention: p.Convention}
 	key, perm := inst.Key()
 	csp.End()
-	val, hit, shared, warmed, err := s.solveKeyed(ctx, p, key, perm, deadline, onLower, onSearch)
+	res, err := s.solveKeyed(ctx, p, key, perm, deadline, onLower, onSearch)
 	if err != nil {
 		s.m.solveErrors.Add(1)
 		return SolveResponse{}, err
 	}
-	resp, err := s.buildResponse(ctx, p, val, perm, includeTrace, hit, shared, warmed, start)
+	resp, err := s.buildResponse(ctx, p, res, perm, includeTrace, start)
 	s.reqSeconds.observe(time.Since(start))
 	return resp, err
 }
@@ -908,12 +896,21 @@ type searchLogLine struct {
 	Snapshot obs.SearchSnapshot `json:"snapshot"`
 }
 
+// keyed is a cache value together with how the cache served it: from
+// a stored entry (hit), by latching onto another request's in-flight
+// solve (shared), or by a solve seeded from a cached interval
+// (warmed). The flags end up on the wire response.
+type keyed struct {
+	val                 instcache.Value
+	hit, shared, warmed bool
+}
+
 // solveKeyed is runSolve after the canonical key is known: interest
 // registration, the cache/singleflight Do, and replication of freshly
 // produced entries. The batch plane computes keys up front (in its
 // amortized canonicalization pool) and calls this directly, once per
 // in-batch canonical class.
-func (s *Server) solveKeyed(ctx context.Context, p solve.Problem, key string, perm []dag.NodeID, deadline time.Duration, onLower func(int64), onSearch func(obs.SearchSnapshot)) (instcache.Value, bool, bool, bool, error) {
+func (s *Server) solveKeyed(ctx context.Context, p solve.Problem, key string, perm []dag.NodeID, deadline time.Duration, onLower func(int64), onSearch func(obs.SearchSnapshot)) (keyed, error) {
 	start := time.Now()
 	tier := instcache.TierForBudget(deadline)
 	// Foreground work preempts background refinement the moment it
@@ -1073,7 +1070,7 @@ func (s *Server) solveKeyed(ctx context.Context, p solve.Problem, key string, pe
 			rec.Canceled = true
 		}
 		s.tel.Append(rec)
-		return instcache.Value{}, false, false, false, err
+		return keyed{}, err
 	}
 	s.tel.Append(rec)
 	if !hit && !shared && s.cfg.Replicate != nil {
@@ -1083,7 +1080,7 @@ func (s *Server) solveKeyed(ctx context.Context, p solve.Problem, key string, pe
 		// — waiters latched onto it would just duplicate the push.
 		s.cfg.Replicate(instcache.Entry{Key: key, Tier: val.Tier, Value: val})
 	}
-	return val, hit, shared, warmed, nil
+	return keyed{val: val, hit: hit, shared: shared, warmed: warmed}, nil
 }
 
 // rememberKey records the problem behind a cache key so the background
@@ -1262,9 +1259,10 @@ func (s *Server) handleDebugRefiner(w http.ResponseWriter, r *http.Request) {
 // every member of a canonical-class group goes through its own
 // buildResponse (k isomorphic items = 1 solve, k translations), so a
 // translation failure poisons only its own item.
-func (s *Server) buildResponse(ctx context.Context, p solve.Problem, val instcache.Value, perm []dag.NodeID, includeTrace bool, hit, shared, warmed bool, start time.Time) (SolveResponse, error) {
+func (s *Server) buildResponse(ctx context.Context, p solve.Problem, res keyed, perm []dag.NodeID, includeTrace bool, start time.Time) (SolveResponse, error) {
 	_, tsp := obs.StartSpan(ctx, "translate")
 	defer tsp.End()
+	val := res.val
 	moves := instcache.FromCanonical(val.Moves, perm)
 	// Replay-verify on the requester's own graph: the response is
 	// certified even when the moves crossed the cache through another
@@ -1284,9 +1282,9 @@ func (s *Server) buildResponse(ctx context.Context, p solve.Problem, val instcac
 		Gap:       anytime.Gap(val.UpperScaled, val.LowerScaled),
 		Optimal:   val.Optimal,
 		Source:    val.Source,
-		Cached:    hit,
-		Shared:    shared,
-		Warmed:    warmed,
+		Cached:    res.hit,
+		Shared:    res.shared,
+		Warmed:    res.warmed,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
 	}
 	if includeTrace {
@@ -1413,7 +1411,7 @@ func (s *Server) syncSolve(w http.ResponseWriter, ctx context.Context, p solve.P
 		qsp.End()
 		defer close(done)
 		if probeHit {
-			resp, err = s.buildResponse(ctx, p, probedVal, perm, includeTrace, true, false, false, start)
+			resp, err = s.buildResponse(ctx, p, keyed{val: probedVal, hit: true}, perm, includeTrace, start)
 			s.reqSeconds.observe(time.Since(start))
 			s.recordProbeHit(ctx, p, probedVal, deadline, start)
 			return
@@ -1422,14 +1420,13 @@ func (s *Server) syncSolve(w http.ResponseWriter, ctx context.Context, p solve.P
 		// on: a client that disconnects mid-solve doesn't kill a solve
 		// whose result is about to land in the cache.
 		sctx := obs.Graft(s.baseCtx, ctx)
-		var val instcache.Value
-		var hit, shared, warmed bool
-		val, hit, shared, warmed, err = s.solveKeyed(sctx, p, key, perm, deadline, nil, nil)
+		var res keyed
+		res, err = s.solveKeyed(sctx, p, key, perm, deadline, nil, nil)
 		if err != nil {
 			s.m.solveErrors.Add(1)
 			return
 		}
-		resp, err = s.buildResponse(ctx, p, val, perm, includeTrace, hit, shared, warmed, start)
+		resp, err = s.buildResponse(ctx, p, res, perm, includeTrace, start)
 		s.reqSeconds.observe(time.Since(start))
 	}
 	if !s.lanes.byName(laneName).submit(task) {
